@@ -18,7 +18,9 @@
 //!   false-positive early-exit workload, plus end-to-end `align_batch`
 //!   throughput on a real pipeline candidate set.
 //! * `BENCH_sim.json` — DES event-queue operation rates (arena queue vs an
-//!   in-bench replica of the pre-arena payload-carrying heap), engine
+//!   in-bench replica of the pre-arena payload-carrying heap, and a
+//!   busy-rank deferral convoy through the per-rank deferral runs vs the
+//!   plain-heap requeue route), engine
 //!   events/sec on a message-heavy ring program, the conservative-parallel
 //!   engine's `engine_parallel_{1,2,4,8}t` shard-scaling series on the
 //!   same ring, and an end-to-end async coordination run.
@@ -42,7 +44,7 @@ use gnb_genome::{presets, PackedSeq, ReadSet};
 use gnb_kmer::{count_kmers, BellaModel, SeedIndex};
 use gnb_overlap::candidates::generate_candidates;
 use gnb_sim::engine::{Ctx, Program, TimeCategory};
-use gnb_sim::event::{EventPayload, EventQueue};
+use gnb_sim::event::{EventPayload, EventQueue, TieBreak};
 use gnb_sim::{Engine, NetParams, SimTime};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -578,6 +580,64 @@ fn queue_rate_legacy(ops: usize) -> f64 {
     ops as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }
 
+/// Deferral convoy: rank 0 is a busy owner with `CONVOY_DEPTH` requests
+/// waiting. Each dispatch keeps it busy for `CONVOY_SERVICE_NS` while a
+/// fresh request arrives, so every dispatch re-defers all the others — the
+/// busy-owner pattern of the asynchronous strategies. `QUEUE_BACKLOG`
+/// background ranks, one event each per `CONVOY_BACKGROUND_PERIOD_NS`,
+/// keep the heap populated. The loop is the engine's: defer an event, then
+/// re-defer the rest of the run through `pop_deferred`. Under
+/// [`TieBreak::Lifo`] the queue keeps no runs, so the same loop measures
+/// the plain-heap requeue route. Every pop counts as one op.
+const CONVOY_DEPTH: usize = 256;
+const CONVOY_SERVICE_NS: u64 = 1_000;
+const CONVOY_BACKGROUND_PERIOD_NS: u64 = 8 * CONVOY_SERVICE_NS;
+
+fn queue_rate_convoy(ops: usize, tie_break: TieBreak) -> f64 {
+    let mut q: EventQueue<QPayload> = EventQueue::with_capacity(CONVOY_DEPTH + QUEUE_BACKLOG + 1);
+    q.set_tie_break(tie_break);
+    let msg = |i: usize| EventPayload::Message {
+        src: i,
+        msg: [i as u64; 8],
+    };
+    for i in 0..CONVOY_DEPTH {
+        q.push(SimTime::ZERO, 0, msg(i));
+    }
+    for i in 0..QUEUE_BACKLOG {
+        let phase = CONVOY_BACKGROUND_PERIOD_NS * i as u64 / QUEUE_BACKLOG as u64;
+        q.push(SimTime::from_ns(phase), 1 + i, msg(i));
+    }
+    let service = SimTime::from_ns(CONVOY_SERVICE_NS);
+    let period = SimTime::from_ns(CONVOY_BACKGROUND_PERIOD_NS);
+    let mut busy = SimTime::ZERO;
+    let mut done = 0;
+    let start = Instant::now();
+    while done < ops {
+        let mut ev = q.pop_entry().expect("queue never drains");
+        done += 1;
+        if ev.dst != 0 {
+            let payload = q.resolve(ev);
+            q.push(ev.time + period, ev.dst, payload);
+        } else if busy > ev.time {
+            loop {
+                q.requeue(ev, busy);
+                match q.pop_deferred(0, busy) {
+                    Some(next) => {
+                        ev = next;
+                        done += 1;
+                    }
+                    None => break,
+                }
+            }
+        } else {
+            let payload = q.resolve(ev);
+            busy = ev.time + service;
+            q.push(ev.time, 0, payload);
+        }
+    }
+    done as f64 / start.elapsed().as_secs_f64().max(1e-9)
+}
+
 /// Message-heavy engine workload (token ring): each delivery costs one
 /// event, so `report.events / elapsed` is engine events/sec.
 #[derive(Debug, Clone, Copy)]
@@ -638,6 +698,18 @@ fn bench_sim(cfg: &Cfg) -> (Vec<Row>, Vec<(String, f64)>) {
         "ops/s",
         || queue_rate_legacy(cfg.queue_ops),
     ));
+    rows.extend(sample_if(
+        cfg,
+        "event_queue/deferral_convoy",
+        "ops/s",
+        || queue_rate_convoy(cfg.queue_ops, TieBreak::Fifo),
+    ));
+    rows.extend(sample_if(
+        cfg,
+        "event_queue/deferral_convoy_heap",
+        "ops/s",
+        || queue_rate_convoy(cfg.queue_ops, TieBreak::Lifo),
+    ));
     rows.extend(sample_if(cfg, "engine_ring_64r/events", "events/s", || {
         ring_events_per_sec(64, cfg.ring_hops, 1)
     }));
@@ -691,6 +763,10 @@ fn bench_sim(cfg: &Cfg) -> (Vec<Row>, Vec<(String, f64)>) {
         (
             "arena_vs_legacy_queue".to_string(),
             get("event_queue/arena") / get("event_queue/legacy_replica"),
+        ),
+        (
+            "deferral_runs_vs_heap".to_string(),
+            get("event_queue/deferral_convoy") / get("event_queue/deferral_convoy_heap"),
         ),
         (
             "parallel_8t_vs_1t".to_string(),

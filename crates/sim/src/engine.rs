@@ -946,25 +946,35 @@ fn serial_step<M, P: Program<M>>(core: &mut EngineCore<M>, programs: &mut [P], e
     // gnb-lint: allow(panic-path, reason = "every event's dst was bounds-checked against nranks when it was pushed")
     let busy = core.busy_until[r];
     if busy > ev.time {
-        // A deferral that would carry the event across the rank's
-        // own crash (into a later incarnation) kills it instead:
-        // run-to-completion ends at the handler boundary, and the
-        // next incarnation never sees its predecessor's backlog.
-        if core.crash_dooms(r, r, ev.time, busy) {
-            let _ = core.queue.resolve(ev);
-            core.fault_stats.crash_events_dropped += 1;
-            return;
-        }
         // Rank still busy: defer until it frees up. Re-queuing (not
-        // executing late) keeps global execution monotone in
-        // virtual time, which the network model relies on. The
-        // payload stays put in the arena — deferral costs one heap
-        // entry, no payload churn.
-        let new_seq = core.queue.requeue(ev, busy);
-        if let Some(obs) = &mut core.obs {
-            obs.on_requeue(ev.seq, new_seq);
+        // executing late) keeps global execution monotone in virtual
+        // time, which the network model relies on. The payload stays put
+        // in the arena, and the queue appends the event to the rank's
+        // deferral run. The run's next entries that would pop right
+        // after this one (due before `busy`, ahead of every other
+        // event) would each come back here and be deferred the same way,
+        // so they are re-deferred in this one pass. They are requeued
+        // events, never crash marks, and the rank stays alive throughout.
+        let mut ev = ev;
+        loop {
+            // A deferral that would carry the event across the rank's
+            // own crash (into a later incarnation) kills it instead:
+            // run-to-completion ends at the handler boundary, and the
+            // next incarnation never sees its predecessor's backlog.
+            if core.crash_dooms(r, r, ev.time, busy) {
+                let _ = core.queue.resolve(ev);
+                core.fault_stats.crash_events_dropped += 1;
+            } else {
+                let new_seq = core.queue.requeue(ev, busy);
+                if let Some(obs) = &mut core.obs {
+                    obs.on_requeue(ev.seq, new_seq);
+                }
+            }
+            match core.queue.pop_deferred(r, busy) {
+                Some(next) => ev = next,
+                None => return,
+            }
         }
-        return;
     }
     // Transient stall: the rank is frozen when this event would
     // run. Book the freeze as recovery time (extending busy_until

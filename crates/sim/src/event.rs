@@ -6,16 +6,44 @@
 //! orders small `Copy` entries that reference a slot by index. This keeps
 //! the hot engine loop allocation-free in the steady state:
 //!
-//! * a deferred event (busy/stalled rank) is re-queued by pushing a fresh
-//!   heap entry for the *same* slot — the payload is never moved, cloned,
-//!   or re-allocated;
+//! * a deferred event (busy/stalled rank) is re-queued under a fresh key
+//!   for the *same* slot — the payload is never moved, cloned, or
+//!   re-allocated;
 //! * a dispatched event returns its slot to the free list, so the next
 //!   `push` reuses it instead of growing the arena;
-//! * heap sift operations move 40-byte `Copy` entries, not payloads.
+//! * heap sift operations move 24-byte `Copy` entries, not payloads.
 //!
 //! The arena therefore grows to the peak number of *concurrent* pending
 //! events and stays there ([`EventQueue::slot_count`]), no matter how many
 //! events flow through.
+//!
+//! # Deferral runs
+//!
+//! A busy rank defers every event that reaches it to its `busy_until`
+//! horizon, and each dispatch moves that horizon again, so the events
+//! still waiting behind it come back to the front one after another and
+//! are deferred anew. Through a plain heap every such re-deferral is a pop
+//! plus a push, O(k²) heap traffic per busy period of k waiting events.
+//!
+//! Under [`TieBreak::Fifo`] a rank's deferred events need no heap order of
+//! their own: their keys are `(busy_until, fresh seq)` and both parts only
+//! grow, so in deferral order they are already sorted. [`EventQueue::requeue`]
+//! therefore appends each one to its rank's *run*, a FIFO linked through
+//! the arena slots (one link per slot, one head/tail pair per rank). Every
+//! non-empty run joins the heap through one representative entry, its
+//! front — except the *current* run, the one popped from last, which sits
+//! outside the heap and pops directly while its front key is below the heap
+//! top. Re-deferring a run's front is O(1) link surgery;
+//! [`EventQueue::pop_deferred`] hands the engine the rest of the run that
+//! would pop next anyway, so it can re-defer it in one pass.
+//!
+//! Pop order, sequence numbers, [`EventQueue::len`] and
+//! [`EventQueue::peek_time`] are exactly those of a plain heap that
+//! re-pushes every deferred event. Under [`TieBreak::Lifo`] equal-time keys
+//! fall as sequence numbers grow, so a run would not be sorted and
+//! `requeue` keeps the plain heap push; so does a requeue whose time lies
+//! before the back of its run (never the engine's case: `busy_until` only
+//! grows).
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -103,14 +131,13 @@ impl TieBreak {
     }
 }
 
-/// Heap entry: `key` bakes in the tie-break policy chosen at push time so
-/// the `BinaryHeap` ordering stays a plain lexicographic compare. `Copy` —
-/// the payload stays in the arena, referenced by `slot`.
+/// Heap entry: `key` is `(time, tie_break.order(seq))`, so the
+/// `BinaryHeap` ordering stays a plain lexicographic compare (and, `order`
+/// being an involution, `seq` is recovered from it). `Copy` — the payload
+/// stays in the arena, referenced by `slot`.
 #[derive(Debug, Clone, Copy)]
 struct HeapEntry {
     key: (SimTime, u64),
-    time: SimTime,
-    seq: u64,
     dst: u32,
     slot: u32,
 }
@@ -133,6 +160,49 @@ impl Ord for HeapEntry {
     }
 }
 
+/// End-of-run marker for slot links (never a slot index: the arena holds
+/// fewer than `u32::MAX` slots).
+const NIL: u32 = u32::MAX;
+
+/// A deferred event's place in its rank's run: its key (runs exist only
+/// under [`TieBreak::Fifo`], where the key is `(time, seq)`) and the next
+/// slot of the run. Meaningful only while the slot is in a run.
+#[derive(Debug, Clone, Copy)]
+struct RunLink {
+    time: SimTime,
+    seq: u64,
+    next: u32,
+}
+
+impl RunLink {
+    const UNLINKED: RunLink = RunLink {
+        time: SimTime::ZERO,
+        seq: 0,
+        next: NIL,
+    };
+}
+
+/// An arena slot: the payload (`None` when free) and its run link.
+#[derive(Debug)]
+struct Slot<M> {
+    payload: Option<EventPayload<M>>,
+    link: RunLink,
+}
+
+/// One rank's deferral run: first and last slot, [`NIL`] when empty.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    head: u32,
+    tail: u32,
+}
+
+impl Run {
+    const EMPTY: Run = Run {
+        head: NIL,
+        tail: NIL,
+    };
+}
+
 /// A popped event whose payload still lives in the arena. `Copy`, so the
 /// engine can inspect `time`/`dst`, then either [`EventQueue::requeue`] it
 /// (busy rank — payload untouched) or [`EventQueue::resolve`] it to take
@@ -151,10 +221,21 @@ pub struct QueuedEvent {
 /// Deterministic event queue.
 #[derive(Debug)]
 pub struct EventQueue<M> {
+    /// Fresh events plus one representative (the front) per non-current
+    /// deferral run.
     heap: BinaryHeap<HeapEntry>,
-    /// Payload arena; `None` slots are listed in `free`.
-    slots: Vec<Option<EventPayload<M>>>,
+    /// Payload arena; slots without a payload are listed in `free`.
+    slots: Vec<Slot<M>>,
     free: Vec<u32>,
+    /// Per-rank deferral runs, grown on the first requeue to a rank.
+    runs: Vec<Run>,
+    /// The run held outside the heap (the one popped from last, or a new
+    /// run started while there was none): non-empty, with no
+    /// representative in `heap`.
+    current: Option<u32>,
+    /// Pending events: heap entries that are not run representatives,
+    /// plus every run entry.
+    len: usize,
     next_seq: u64,
     tie_break: TieBreak,
 }
@@ -165,6 +246,9 @@ impl<M> Default for EventQueue<M> {
             heap: BinaryHeap::new(),
             slots: Vec::new(),
             free: Vec::new(),
+            runs: Vec::new(),
+            current: None,
+            len: 0,
             next_seq: 0,
             tie_break: TieBreak::Fifo,
         }
@@ -199,7 +283,7 @@ impl<M> EventQueue<M> {
     /// Sets the equal-time ordering policy (before any events are queued).
     pub fn set_tie_break(&mut self, tb: TieBreak) {
         assert!(
-            self.heap.is_empty(),
+            self.is_empty(),
             "tie-break policy must be set before events are queued"
         );
         self.tie_break = tb;
@@ -213,30 +297,25 @@ impl<M> EventQueue<M> {
     /// Schedules `payload` for `dst` at `time`. Returns the assigned
     /// sequence number (the event's identity for observability edges).
     pub fn push(&mut self, time: SimTime, dst: usize, payload: EventPayload<M>) -> u64 {
+        debug_assert!(dst < u32::MAX as usize, "rank id out of range");
         let slot = match self.free.pop() {
             Some(s) => {
-                self.slots[s as usize] = Some(payload);
+                self.slots[s as usize].payload = Some(payload);
                 s
             }
             None => {
-                assert!(self.slots.len() < u32::MAX as usize, "event arena full");
-                self.slots.push(Some(payload));
+                assert!(self.slots.len() < NIL as usize, "event arena full");
+                self.slots.push(Slot {
+                    payload: Some(payload),
+                    link: RunLink::UNLINKED,
+                });
                 (self.slots.len() - 1) as u32
             }
         };
-        self.push_slot(time, dst, slot)
-    }
-
-    /// Pushes a heap entry for an already-filled slot, assigning the next
-    /// sequence number (the shared tail of `push` and `requeue`).
-    fn push_slot(&mut self, time: SimTime, dst: usize, slot: u32) -> u64 {
-        debug_assert!(dst < u32::MAX as usize, "rank id out of range");
         let seq = self.alloc_seq();
-        let order = self.tie_break.order(seq);
+        self.len += 1;
         self.heap.push(HeapEntry {
-            key: (time, order),
-            time,
-            seq,
+            key: (time, self.tie_break.order(seq)),
             dst: dst as u32,
             slot,
         });
@@ -255,21 +334,103 @@ impl<M> EventQueue<M> {
         seq
     }
 
+    /// Front link and slot of run `r`, which must be non-empty.
+    fn run_front(&self, r: u32) -> (RunLink, u32) {
+        // gnb-lint: allow(panic-path, reason = "callers pass the current run or a run whose representative was just popped; both are non-empty entries of runs")
+        let head = self.runs[r as usize].head;
+        // gnb-lint: allow(panic-path, reason = "a non-empty run's head is a slot index into the never-shrinking arena")
+        (self.slots[head as usize].link, head)
+    }
+
+    /// Key of the current run's front, if there is a current run.
+    fn current_key(&self) -> Option<(SimTime, u64)> {
+        let (front, _) = self.run_front(self.current?);
+        Some((front.time, front.seq))
+    }
+
     /// Virtual time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        let heap = self.heap.peek().map(|e| e.key);
+        self.current_key()
+            .into_iter()
+            .chain(heap)
+            .min()
+            .map(|(time, _)| time)
+    }
+
+    /// `true` when the current run's front is the earliest pending event.
+    fn current_leads(&self) -> bool {
+        self.current_key()
+            .is_some_and(|k| self.heap.peek().is_none_or(|e| k < e.key))
     }
 
     /// Pops the earliest event as an arena handle. The payload stays in
-    /// its slot until [`EventQueue::resolve`] (or returns to the heap via
+    /// its slot until [`EventQueue::resolve`] (or returns to the queue via
     /// [`EventQueue::requeue`]).
     pub fn pop_entry(&mut self) -> Option<QueuedEvent> {
-        self.heap.pop().map(|e| QueuedEvent {
-            time: e.time,
-            seq: e.seq,
+        if let Some(r) = self.current.filter(|_| self.current_leads()) {
+            return Some(self.pop_current(r));
+        }
+        let e = self.heap.pop()?;
+        let is_run_front = self
+            .runs
+            .get(e.dst as usize)
+            .is_some_and(|run| run.head == e.slot);
+        if is_run_front {
+            // A run's representative: that run becomes current, and the
+            // previous current run rejoins the heap through its front.
+            if let Some(prev) = self.current.replace(e.dst) {
+                let (front, slot) = self.run_front(prev);
+                self.heap.push(HeapEntry {
+                    key: (front.time, front.seq),
+                    dst: prev,
+                    slot,
+                });
+            }
+            return Some(self.pop_current(e.dst));
+        }
+        self.len -= 1;
+        Some(QueuedEvent {
+            time: e.key.0,
+            seq: self.tie_break.order(e.key.1),
             dst: e.dst as usize,
             slot: e.slot,
         })
+    }
+
+    /// Pops the front of run `r`, which must be the current run.
+    fn pop_current(&mut self, r: u32) -> QueuedEvent {
+        // gnb-lint: allow(panic-path, reason = "only called for the current run, which is a non-empty entry of runs")
+        let run = &mut self.runs[r as usize];
+        let slot = run.head;
+        // gnb-lint: allow(panic-path, reason = "a non-empty run's head is a slot index into the never-shrinking arena")
+        let front = self.slots[slot as usize].link;
+        run.head = front.next;
+        if front.next == NIL {
+            run.tail = NIL;
+            self.current = None;
+        }
+        self.len -= 1;
+        QueuedEvent {
+            time: front.time,
+            seq: front.seq,
+            dst: r as usize,
+            slot,
+        }
+    }
+
+    /// Pops the next event only if it is the front of `dst`'s current
+    /// deferral run and due before `before` — exactly the event
+    /// [`EventQueue::pop_entry`] would return next, restricted to events
+    /// that went through [`EventQueue::requeue`] to a rank still busy
+    /// until `before`. The engine calls it after deferring an event to
+    /// re-defer, in one pass, the rest of the run that would pop next
+    /// anyway. `None` means "go through `pop_entry`" (always the case
+    /// under [`TieBreak::Lifo`], which keeps no runs).
+    pub fn pop_deferred(&mut self, dst: usize, before: SimTime) -> Option<QueuedEvent> {
+        let r = self.current.filter(|&r| r as usize == dst)?;
+        let (front, _) = self.run_front(r);
+        (front.time < before && self.current_leads()).then(|| self.pop_current(r))
     }
 
     /// Re-schedules a popped event for `time` without touching its
@@ -280,17 +441,70 @@ impl<M> EventQueue<M> {
     /// Returns the fresh sequence number.
     pub fn requeue(&mut self, ev: QueuedEvent, time: SimTime) -> u64 {
         debug_assert!(
-            // gnb-lint: allow(panic-path, reason = "a popped entry's slot index was minted by push_slot into the same slots vector and slots never shrinks")
-            self.slots[ev.slot as usize].is_some(),
+            // gnb-lint: allow(panic-path, reason = "a popped entry's slot index was minted by push into the same slots vector and slots never shrinks")
+            self.slots[ev.slot as usize].payload.is_some(),
             "requeueing a resolved event"
         );
-        self.push_slot(time, ev.dst, ev.slot)
+        let seq = self.alloc_seq();
+        self.len += 1;
+        if self.tie_break == TieBreak::Fifo && self.append_to_run(ev.dst, ev.slot, time, seq) {
+            return seq;
+        }
+        self.heap.push(HeapEntry {
+            key: (time, self.tie_break.order(seq)),
+            dst: ev.dst as u32,
+            slot: ev.slot,
+        });
+        seq
+    }
+
+    /// Appends `slot` with key `(time, seq)` to `dst`'s run; `false` (and
+    /// nothing changed) when the key would sort before the run's back.
+    fn append_to_run(&mut self, dst: usize, slot: u32, time: SimTime, seq: u64) -> bool {
+        if dst >= self.runs.len() {
+            self.runs.resize(dst + 1, Run::EMPTY);
+        }
+        // gnb-lint: allow(panic-path, reason = "runs was just resized to cover dst")
+        let tail = self.runs[dst].tail;
+        if tail != NIL {
+            // gnb-lint: allow(panic-path, reason = "a non-empty run's tail is a slot index into the never-shrinking arena")
+            let back = &mut self.slots[tail as usize].link;
+            if time < back.time {
+                return false;
+            }
+            back.next = slot;
+        }
+        // gnb-lint: allow(panic-path, reason = "a popped entry's slot index was minted by push into the same slots vector and slots never shrinks")
+        self.slots[slot as usize].link = RunLink {
+            time,
+            seq,
+            next: NIL,
+        };
+        // gnb-lint: allow(panic-path, reason = "runs was just resized to cover dst")
+        let run = &mut self.runs[dst];
+        run.tail = slot;
+        if tail == NIL {
+            // A new run: current if there is none, else it joins the heap
+            // through its front.
+            run.head = slot;
+            if self.current.is_none() {
+                self.current = Some(dst as u32);
+            } else {
+                self.heap.push(HeapEntry {
+                    key: (time, seq),
+                    dst: dst as u32,
+                    slot,
+                });
+            }
+        }
+        true
     }
 
     /// Takes a popped event's payload and recycles its slot.
     pub fn resolve(&mut self, ev: QueuedEvent) -> EventPayload<M> {
-        // gnb-lint: allow(panic-path, reason = "a popped entry's slot index was minted by push_slot into the same slots vector and slots never shrinks")
+        // gnb-lint: allow(panic-path, reason = "a popped entry's slot index was minted by push into the same slots vector and slots never shrinks")
         let p = self.slots[ev.slot as usize]
+            .payload
             .take()
             // gnb-lint: allow(panic-path, reason = "the queue hands each popped entry out exactly once; resolving twice is queue corruption and must abort deterministically")
             .expect("resolving an event twice");
@@ -313,12 +527,12 @@ impl<M> EventQueue<M> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// `true` when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     /// Size of the payload arena: the peak number of concurrent pending
@@ -331,6 +545,166 @@ impl<M> EventQueue<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+
+    /// A reference-model entry: `(time, order(seq), seq, dst, id)`, `id`
+    /// standing in for the payload.
+    type ModelEntry = (SimTime, u64, u64, usize, u64);
+
+    /// The plain-heap requeue the deferral runs replaced: every deferral
+    /// re-pushes the event under a fresh key. The reference the queue must
+    /// match pop for pop.
+    struct HeapModel {
+        heap: BinaryHeap<Reverse<ModelEntry>>,
+        next_seq: u64,
+        tie_break: TieBreak,
+    }
+
+    impl HeapModel {
+        fn new(tie_break: TieBreak) -> Self {
+            HeapModel {
+                heap: BinaryHeap::new(),
+                next_seq: 0,
+                tie_break,
+            }
+        }
+
+        fn push(&mut self, time: SimTime, dst: usize, id: u64) -> u64 {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            let order = self.tie_break.order(seq);
+            self.heap.push(Reverse((time, order, seq, dst, id)));
+            seq
+        }
+
+        /// Pops `(time, seq, dst, id)`.
+        fn pop(&mut self) -> Option<(SimTime, u64, usize, u64)> {
+            let Reverse((time, _, seq, dst, id)) = self.heap.pop()?;
+            Some((time, seq, dst, id))
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|Reverse(e)| e.0)
+        }
+    }
+
+    fn id_of(payload: &EventPayload<u64>) -> u64 {
+        match payload {
+            EventPayload::Message { msg, .. } => *msg,
+            _ => panic!("model events carry messages"),
+        }
+    }
+
+    /// Checks that `got` is the model's next pop, payload included.
+    fn same_pop(
+        q: &EventQueue<u64>,
+        model: &mut HeapModel,
+        got: QueuedEvent,
+    ) -> Result<(), TestCaseError> {
+        let want = model.pop();
+        let id = q.slots[got.slot as usize].payload.as_ref().map(id_of);
+        prop_assert_eq!(
+            Some((got.time, got.seq, got.dst, id)),
+            want.map(|(t, s, d, i)| (t, s, d, Some(i)))
+        );
+        Ok(())
+    }
+
+    fn same_state(q: &EventQueue<u64>, model: &HeapModel) -> Result<(), TestCaseError> {
+        prop_assert_eq!(q.len(), model.heap.len());
+        prop_assert_eq!(q.is_empty(), model.heap.is_empty());
+        prop_assert_eq!(q.peek_time(), model.peek_time());
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Random push / pop / requeue / resolve traffic — engine-style
+        /// deferral to a monotone per-rank `busy`, batch re-deferral
+        /// through `pop_deferred`, and arbitrary requeue times — yields
+        /// the plain-heap reference's pop sequence, seqs, length and peek
+        /// time at every step, under both tie-breaks. Times come from a
+        /// narrow range, so equal-time ties are common.
+        #[test]
+        fn runs_match_plain_heap_requeue(
+            lifo in 0u8..2,
+            ops in prop::collection::vec((0u8..10, 0usize..4, 0u64..4), 1..300),
+        ) {
+            let tie_break = if lifo == 1 { TieBreak::Lifo } else { TieBreak::Fifo };
+            let mut q: EventQueue<u64> = EventQueue::new();
+            q.set_tie_break(tie_break);
+            let mut model = HeapModel::new(tie_break);
+            let mut busy = [SimTime::ZERO; 4];
+            let mut clock = SimTime::ZERO;
+            let mut next_id = 0u64;
+            for (kind, dst, dt) in ops {
+                let dt = SimTime::from_ns(dt);
+                match kind {
+                    0..=3 => {
+                        let id = next_id;
+                        next_id += 1;
+                        let payload = EventPayload::Message { src: dst, msg: id };
+                        let seq = q.push(clock + dt, dst, payload);
+                        prop_assert_eq!(seq, model.push(clock + dt, dst, id));
+                    }
+                    _ => {
+                        let Some(ev) = q.pop_entry() else {
+                            prop_assert!(model.pop().is_none());
+                            continue;
+                        };
+                        same_pop(&q, &mut model, ev)?;
+                        clock = ev.time;
+                        let id = q.slots[ev.slot as usize].payload.as_ref().map(id_of).unwrap();
+                        match kind {
+                            4 | 5 => {
+                                prop_assert_eq!(id_of(&q.resolve(ev)), id);
+                            }
+                            6..=8 => {
+                                // Engine-style deferral: `busy` only grows.
+                                let b = &mut busy[ev.dst];
+                                *b = (*b).max(ev.time) + dt;
+                                let until = *b;
+                                let mut ev = ev;
+                                loop {
+                                    let id = q.slots[ev.slot as usize].payload.as_ref().map(id_of).unwrap();
+                                    if ev.seq % 7 == 3 {
+                                        // A crash-doomed deferral drops the event.
+                                        prop_assert_eq!(id_of(&q.resolve(ev)), id);
+                                    } else {
+                                        let seq = q.requeue(ev, until);
+                                        prop_assert_eq!(seq, model.push(until, ev.dst, id));
+                                    }
+                                    same_state(&q, &model)?;
+                                    match q.pop_deferred(ev.dst, until) {
+                                        Some(next) => {
+                                            prop_assert!(next.dst == ev.dst && next.time < until);
+                                            same_pop(&q, &mut model, next)?;
+                                            ev = next;
+                                        }
+                                        None => break,
+                                    }
+                                }
+                            }
+                            _ => {
+                                // Arbitrary time, possibly before the run's back.
+                                let seq = q.requeue(ev, clock + dt);
+                                prop_assert_eq!(seq, model.push(clock + dt, ev.dst, id));
+                            }
+                        }
+                    }
+                }
+                same_state(&q, &model)?;
+            }
+            while let Some(ev) = q.pop_entry() {
+                same_pop(&q, &mut model, ev)?;
+                let _ = q.resolve(ev);
+                same_state(&q, &model)?;
+            }
+            prop_assert!(model.pop().is_none());
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {
