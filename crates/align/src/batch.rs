@@ -1,18 +1,17 @@
-//! Rayon-parallel batch alignment.
+//! Batch alignment drivers.
 //!
-//! This is the shared-memory execution path: a downstream user with a
-//! multicore machine aligns an entire candidate set with work-stealing
-//! parallelism, one [`SeedExtendScratch`] per worker. It also provides the
-//! measured per-task costs used to calibrate the simulator's cost model.
+//! This is the shared-memory execution path: a downstream user aligns an
+//! entire candidate set with the inter-sequence batched engine
+//! ([`crate::interseq`]). It also provides the measured per-task costs used
+//! to calibrate the simulator's cost model, and the serial scalar
+//! reference every batched result is validated against.
 
+use crate::interseq::align_candidates_batched;
 use crate::scoring::ScoringScheme;
 use crate::seed_extend::{
-    align_candidate_packed_with, align_candidate_with, AcceptCriteria, AlignmentRecord, Candidate,
-    SeedExtendScratch,
+    align_candidate_with, AcceptCriteria, AlignmentRecord, Candidate, SeedExtendScratch,
 };
-use crate::KernelImpl;
 use gnb_genome::ReadSet;
-use rayon::prelude::*;
 
 /// Outcome of a batch alignment.
 #[derive(Debug, Clone)]
@@ -21,7 +20,7 @@ pub struct BatchOutcome {
     pub records: Vec<AlignmentRecord>,
     /// Total DP cells across all tasks.
     pub total_cells: u64,
-    /// Wall-clock time of the parallel region.
+    /// Wall-clock time of the alignment.
     pub elapsed: std::time::Duration,
 }
 
@@ -48,9 +47,6 @@ pub struct AlignParams {
     pub x: i32,
     /// Acceptance criteria.
     pub criteria: AcceptCriteria,
-    /// Kernel implementation [`align_batch`] runs (the serial reference
-    /// driver always uses the scalar kernel — see [`align_batch_serial`]).
-    pub kernel: KernelImpl,
 }
 
 impl Default for AlignParams {
@@ -60,84 +56,23 @@ impl Default for AlignParams {
             scoring: ScoringScheme::DEFAULT,
             x: 25,
             criteria: AcceptCriteria::default(),
-            kernel: KernelImpl::default(),
         }
     }
 }
 
-/// Aligns one candidate with the kernel `params` selects.
-fn align_one(
-    scratch: &mut SeedExtendScratch,
-    reads: &ReadSet,
-    cand: &Candidate,
-    params: &AlignParams,
-) -> AlignmentRecord {
-    match params.kernel {
-        KernelImpl::Scalar => align_candidate_with(
-            scratch,
-            reads.read(cand.a as usize),
-            reads.read(cand.b as usize),
-            cand,
-            params.k,
-            &params.scoring,
-            params.x,
-            &params.criteria,
-        ),
-        KernelImpl::Packed => align_candidate_packed_with(
-            scratch,
-            reads.packed_read(cand.a as usize),
-            reads.packed_read(cand.b as usize),
-            cand,
-            params.k,
-            &params.scoring,
-            params.x,
-            &params.criteria,
-        ),
-        // The batched kernel is a whole-batch engine, not a per-candidate
-        // one: `align_batch` routes to its own driver before reaching here.
-        KernelImpl::Batched => unreachable!("Batched is handled by align_batch_batched"),
-    }
-}
-
-/// Aligns every candidate in parallel; records are returned in input order,
-/// so results are deterministic and independent of the schedule.
+/// Aligns every candidate with the batched engine; records are returned in
+/// input order, so results are deterministic and independent of the
+/// schedule.
 ///
-/// Internally tasks run **longest-first**: candidates are ordered by
-/// descending `len(a) + len(b)` (a cheap upper-bound cost proxy — a task's
-/// true cost is unknowable before it runs, §4.2 of the paper) so a huge
-/// true-overlap task picked up last cannot leave one worker aligning alone
-/// after the rest of the pool drains. Results are scattered back to input
-/// order before returning, making the schedule unobservable.
+/// Internally tasks run **longest-first**, cut into length buckets with
+/// lane refill (see [`crate::interseq`]): a task's true cost is unknowable
+/// before it runs (§4.2 of the paper), so `len(a) + len(b)` is the cheap
+/// upper-bound proxy that keeps co-resident lanes finishing together.
+/// Records are bit-identical to [`align_batch_serial`].
 pub fn align_batch(reads: &ReadSet, tasks: &[Candidate], params: &AlignParams) -> BatchOutcome {
-    if params.kernel == KernelImpl::Batched {
-        // The inter-sequence engine schedules the whole batch itself
-        // (length buckets + lane refill) — same longest-first order, same
-        // input-order records, bit-identical results.
-        return crate::interseq::align_batch_batched(reads, tasks, params);
-    }
     // gnb-lint: allow(wall-clock, reason = "measures real alignment wall time; deterministic outputs are the records, not the timing")
     let start = std::time::Instant::now();
-    let mut order: Vec<u32> = (0..tasks.len() as u32).collect();
-    // Stable sort: equal-length tasks keep input order, so the schedule
-    // itself is deterministic too.
-    order.sort_by_key(|&t| {
-        let c = &tasks[t as usize];
-        std::cmp::Reverse(reads.read_len(c.a as usize) + reads.read_len(c.b as usize))
-    });
-    let scheduled: Vec<(u32, AlignmentRecord)> = order
-        .par_iter()
-        .map_init(SeedExtendScratch::new, |scratch, &t| {
-            (t, align_one(scratch, reads, &tasks[t as usize], params))
-        })
-        .collect();
-    let mut slots: Vec<Option<AlignmentRecord>> = vec![None; tasks.len()];
-    for (t, rec) in scheduled {
-        slots[t as usize] = Some(rec);
-    }
-    let records: Vec<AlignmentRecord> = slots
-        .into_iter()
-        .map(|r| r.expect("every task scheduled exactly once"))
-        .collect();
+    let (records, _) = align_candidates_batched(reads, tasks, params);
     let elapsed = start.elapsed();
     let total_cells = records.iter().map(|r| r.cells).sum();
     BatchOutcome {
@@ -149,10 +84,10 @@ pub fn align_batch(reads: &ReadSet, tasks: &[Candidate], params: &AlignParams) -
 
 /// Serial reference driver (validation and single-thread baselines).
 ///
-/// Always runs the scalar reference kernel in input order, regardless of
-/// `params.kernel` — it *is* the reference the parallel path is validated
-/// against, so comparing [`align_batch`] (packed, longest-first) to this
-/// function cross-checks both the kernel and the schedule.
+/// Runs the scalar reference kernel in input order — it *is* the reference
+/// the batched path is validated against, so comparing [`align_batch`]
+/// (batched engine, bucketed longest-first schedule) to this function
+/// cross-checks both the kernel and the schedule.
 pub fn align_batch_serial(
     reads: &ReadSet,
     tasks: &[Candidate],
@@ -242,47 +177,14 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial() {
-        // The default parallel path (packed kernel, longest-first schedule)
-        // must agree record-for-record with the scalar in-order reference.
+        // The batched path (bucketed longest-first schedule) must agree
+        // record-for-record with the scalar in-order reference.
         let (reads, cands) = make_reads();
         let p = params();
         let par = align_batch(&reads, &cands, &p);
         let ser = align_batch_serial(&reads, &cands, &p);
         assert_eq!(par.records, ser.records);
         assert_eq!(par.total_cells, ser.total_cells);
-    }
-
-    #[test]
-    fn kernel_selection_is_result_invariant() {
-        let (reads, cands) = make_reads();
-        let scalar = align_batch(
-            &reads,
-            &cands,
-            &AlignParams {
-                kernel: crate::KernelImpl::Scalar,
-                ..params()
-            },
-        );
-        let packed = align_batch(
-            &reads,
-            &cands,
-            &AlignParams {
-                kernel: crate::KernelImpl::Packed,
-                ..params()
-            },
-        );
-        let batched = align_batch(
-            &reads,
-            &cands,
-            &AlignParams {
-                kernel: crate::KernelImpl::Batched,
-                ..params()
-            },
-        );
-        assert_eq!(scalar.records, packed.records);
-        assert_eq!(scalar.total_cells, packed.total_cells);
-        assert_eq!(scalar.records, batched.records);
-        assert_eq!(scalar.total_cells, batched.total_cells);
     }
 
     #[test]

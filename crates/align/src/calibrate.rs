@@ -1,4 +1,4 @@
-//! Host calibration: DP-cell throughput of the X-drop kernel.
+//! Host calibration: DP-cell throughput of the scalar X-drop kernel.
 //!
 //! The simulator expresses alignment work in DP cells (a machine-independent
 //! unit every kernel in this crate reports). To convert cells into simulated
@@ -7,12 +7,15 @@
 //! (KNL cores run at 1.4 GHz with weak single-thread IPC; the default
 //! factor is documented in EXPERIMENTS.md). Absolute times are therefore
 //! approximate by design — the paper's *shapes* do not depend on them.
+//!
+//! The rate is measured on the scalar reference kernel. Every kernel
+//! evaluates bit-identical cell counts, so the calibrated cost of a task
+//! does not depend on which kernel aligned it; `gnb-bench` times the
+//! batched and packed kernels on the same [`calibration_pair`] to report
+//! their speed relative to this reference.
 
-use crate::packed::{PackedView, PackedXDropAligner};
 use crate::scoring::ScoringScheme;
 use crate::xdrop::XDropAligner;
-use crate::KernelImpl;
-use gnb_genome::PackedSeq;
 // gnb-lint: allow(wall-clock, reason = "calibration exists to measure the real host clock")
 use std::time::Instant;
 
@@ -36,8 +39,9 @@ impl CellRate {
 
 /// The calibration workload: a pseudo-random 8192-bp near-identical pair
 /// (the common case: a true overlap; ~5% substitutions keep the band
-/// realistically wide).
-fn calibration_pair() -> (Vec<u8>, Vec<u8>) {
+/// realistically wide). Kernel benchmarks time every kernel on this pair,
+/// so their rates compare directly with the calibrated one.
+pub fn calibration_pair() -> (Vec<u8>, Vec<u8>) {
     let n = 8192usize;
     let bases = b"ACGT";
     let a: Vec<u8> = (0..n).map(|i| bases[(i * 7 + i / 5 + 3) % 4]).collect();
@@ -52,87 +56,24 @@ fn calibration_pair() -> (Vec<u8>, Vec<u8>) {
 /// running repeated extensions over the calibration pair.
 ///
 /// `target_cells` bounds the measurement work; a few million cells gives a
-/// stable estimate in well under a second. Use [`measure_cell_rate_for`]
-/// to calibrate a specific [`KernelImpl`].
+/// stable estimate in well under a second.
 pub fn measure_cell_rate(target_cells: u64) -> CellRate {
-    measure_cell_rate_for(KernelImpl::Scalar, target_cells)
-}
-
-/// Measures the cell throughput of the given kernel implementation on the
-/// shared calibration workload. Both kernels evaluate bit-identical cell
-/// counts per extension, so rates are directly comparable.
-pub fn measure_cell_rate_for(kernel: KernelImpl, target_cells: u64) -> CellRate {
     let (a, b) = calibration_pair();
     let sc = ScoringScheme::DEFAULT;
-    match kernel {
-        KernelImpl::Scalar => {
-            let mut aligner = XDropAligner::new();
-            // Warm-up pass (page in buffers, settle frequency scaling).
-            let _ = aligner.extend(&a, &b, &sc, 50);
-            // gnb-lint: allow(wall-clock, reason = "calibration exists to measure the real host clock")
-            let start = Instant::now();
-            let mut cells = 0u64;
-            while cells < target_cells {
-                let ext = aligner.extend(&a, &b, &sc, 50);
-                cells += ext.cells;
-            }
-            let secs = start.elapsed().as_secs_f64().max(1e-9);
-            CellRate {
-                host_cells_per_sec: cells as f64 / secs,
-                cells,
-            }
-        }
-        KernelImpl::Packed => {
-            let pa = PackedSeq::from_bytes(&a);
-            let pb = PackedSeq::from_bytes(&b);
-            let va = PackedView::full(pa.as_slice());
-            let vb = PackedView::full(pb.as_slice());
-            let mut aligner = PackedXDropAligner::new();
-            let _ = aligner.extend(va, vb, &sc, 50);
-            // gnb-lint: allow(wall-clock, reason = "calibration exists to measure the real host clock")
-            let start = Instant::now();
-            let mut cells = 0u64;
-            while cells < target_cells {
-                let ext = aligner.extend(va, vb, &sc, 50);
-                cells += ext.cells;
-            }
-            let secs = start.elapsed().as_secs_f64().max(1e-9);
-            CellRate {
-                host_cells_per_sec: cells as f64 / secs,
-                cells,
-            }
-        }
-        KernelImpl::Batched => {
-            // The batched engine's throughput depends on lane occupancy, so
-            // calibrate it the way batches actually run: a full cohort of
-            // pairs per call (the calibration pair replicated across the
-            // widest lane count).
-            let pa = PackedSeq::from_bytes(&a);
-            let pb = PackedSeq::from_bytes(&b);
-            let pairs: Vec<_> = (0..crate::interseq::MAX_LANES)
-                .map(|_| {
-                    (
-                        PackedView::full(pa.as_slice()),
-                        PackedView::full(pb.as_slice()),
-                    )
-                })
-                .collect();
-            let mut aligner = crate::interseq::BatchedXDropAligner::new();
-            let _ = aligner.extend_batch(&pairs, &sc, 50);
-            // gnb-lint: allow(wall-clock, reason = "calibration exists to measure the real host clock")
-            let start = Instant::now();
-            let mut cells = 0u64;
-            while cells < target_cells {
-                for ext in aligner.extend_batch(&pairs, &sc, 50) {
-                    cells += ext.cells;
-                }
-            }
-            let secs = start.elapsed().as_secs_f64().max(1e-9);
-            CellRate {
-                host_cells_per_sec: cells as f64 / secs,
-                cells,
-            }
-        }
+    let mut aligner = XDropAligner::new();
+    // Warm-up pass (page in buffers, settle frequency scaling).
+    let _ = aligner.extend(&a, &b, &sc, 50);
+    // gnb-lint: allow(wall-clock, reason = "calibration exists to measure the real host clock")
+    let start = Instant::now();
+    let mut cells = 0u64;
+    while cells < target_cells {
+        let ext = aligner.extend(&a, &b, &sc, 50);
+        cells += ext.cells;
+    }
+    let secs = start.elapsed().as_secs_f64().max(1e-9);
+    CellRate {
+        host_cells_per_sec: cells as f64 / secs,
+        cells,
     }
 }
 
@@ -150,16 +91,6 @@ mod tests {
             "rate {}",
             r.host_cells_per_sec
         );
-    }
-
-    #[test]
-    fn packed_rate_measurable_and_same_workload() {
-        let s = measure_cell_rate_for(KernelImpl::Scalar, 500_000);
-        let p = measure_cell_rate_for(KernelImpl::Packed, 500_000);
-        // Identical per-extension cell counts → both overshoot the target
-        // by less than one extension's worth of cells.
-        assert!(p.cells >= 500_000 && s.cells >= 500_000);
-        assert!(p.host_cells_per_sec > 1e6, "rate {}", p.host_cells_per_sec);
     }
 
     #[test]

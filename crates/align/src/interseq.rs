@@ -10,15 +10,17 @@
 //! lockstep. Occupancy then depends only on how long lanes keep working,
 //! which the batch scheduler controls:
 //!
-//! * **Length bucketing** ([`LengthBuckets`]): the longest-first order
-//!   `align_batch` already produces is cut into buckets of ≤ 2× length
-//!   spread, so co-resident lanes finish at commensurate times.
+//! * **Length bucketing** ([`LengthBuckets`]): candidates are sorted
+//!   longest-first and cut into buckets of ≤ 2× length spread, so
+//!   co-resident lanes finish at commensurate times.
 //! * **Staged lane refill**: diagonal progress is quantised onto a doubling
 //!   boundary grid (64, 128, 256, …). A cohort of lanes runs one stage;
 //!   survivors park in the next stage's pool and are re-seated into fresh,
 //!   fully occupied cohorts, while early deaths (the false-positive common
 //!   case) free their lane immediately. Cohorts are only under-occupied on
-//!   the final flush of each pool.
+//!   the final flush of each pool. The deepest full pool is seated first,
+//!   so parked continuations stay bounded by lanes × stages rather than by
+//!   bucket size ([`BatchStats::max_parked`]).
 //! * **Band-relative addressing**: each lane stores its rows at
 //!   `row - offset`, the offset fixed per stage at the lane's current band
 //!   floor. Lanes whose absolute bands drift apart (different length
@@ -46,7 +48,7 @@
 //! lane-refill schedule maps onto warp-per-pair batch alignment (cf. the
 //! GPU scheduler work for de novo assembly, arXiv 2309.07270).
 
-use crate::batch::{AlignParams, BatchOutcome};
+use crate::batch::AlignParams;
 use crate::packed::{PackedView, PackedXDropAligner, MAX_X};
 use crate::scoring::ScoringScheme;
 use crate::seed_extend::{assemble_record, packed_candidate_geometry, AlignmentRecord, Candidate};
@@ -233,8 +235,8 @@ pub struct BatchPlan {
 }
 
 impl BatchPlan {
-    /// Builds the plan for a candidate set: the same stable longest-first
-    /// sort [`crate::batch::align_batch`] uses, cut into length buckets.
+    /// Builds the plan for a candidate set: a stable longest-first sort on
+    /// `len(a) + len(b)`, cut into length buckets.
     pub fn build(reads: &ReadSet, tasks: &[Candidate], lane_width: usize) -> BatchPlan {
         let len_sum = |c: &Candidate| -> u32 {
             (reads.read_len(c.a as usize) + reads.read_len(c.b as usize)) as u32
@@ -270,6 +272,10 @@ pub struct BatchStats {
     pub lane_steps: u64,
     /// Lane-steps that advanced a live pair (the rest were idle lanes).
     pub active_lane_steps: u64,
+    /// Peak number of parked continuations (paused past stage 0, waiting
+    /// for a seat) in any one [`BatchedXDropAligner::extend_batch`] call —
+    /// the engine's DP-row memory beyond its striped scratch.
+    pub max_parked: u64,
 }
 
 impl BatchStats {
@@ -457,12 +463,17 @@ impl BatchedXDropAligner {
         }
 
         let lanes = self.path.lane_width();
+        let mut parked = 0u64;
         loop {
-            // Prefer a fully seatable pool (highest occupancy); flush a
+            // Prefer a fully seatable pool (highest occupancy), the deepest
+            // one first: a cohort then carries its survivors on through the
+            // later stages before the next fresh cohort starts, so parked
+            // continuations (each holding two DP rows) stay bounded by
+            // lanes × stages instead of growing with the bucket. Flush a
             // partial pool only when no pool can fill a cohort. Both
             // choices and the FIFO seat order are deterministic, and
             // results are keyed by task id, so scheduling is unobservable.
-            let g = match (0..pools.len()).find(|&g| pools[g].len() >= lanes) {
+            let g = match (0..pools.len()).rev().find(|&g| pools[g].len() >= lanes) {
                 Some(g) => g,
                 None => match (0..pools.len()).find(|&g| !pools[g].is_empty()) {
                     Some(g) => g,
@@ -471,12 +482,19 @@ impl BatchedXDropAligner {
             };
             let seat_n = pools[g].len().min(lanes);
             let seats: Vec<Cont> = pools[g].drain(..seat_n).collect();
+            if g > 0 {
+                parked -= seat_n as u64;
+            }
             debug_assert!(g + 1 < grid.len(), "eligible pair outlived the stage grid");
             let (d0, d1) = (grid[g], grid[g + 1]);
             for outcome in self.run_cohort(seats, pairs, sc, x, d0, d1) {
                 match outcome {
                     LaneOutcome::Done(task, ext) => out[task as usize] = ext,
-                    LaneOutcome::Live(cont) => pools[g + 1].push(cont),
+                    LaneOutcome::Live(cont) => {
+                        pools[g + 1].push(cont);
+                        parked += 1;
+                        self.stats.max_parked = self.stats.max_parked.max(parked);
+                    }
                     LaneOutcome::Retry(task) => {
                         let (a, b) = &pairs[task as usize];
                         out[task as usize] = self.fallback.extend(*a, *b, sc, x);
@@ -1220,15 +1238,15 @@ mod simd {
 }
 
 // ---------------------------------------------------------------------------
-// Candidate-batch driver (KernelImpl::Batched)
+// Candidate-batch driver
 // ---------------------------------------------------------------------------
 
 /// Aligns a candidate batch with the batched engine: builds the
 /// [`BatchPlan`], then per bucket expands each candidate into its two
-/// extension tasks (strand-normalised views, exactly as the packed
-/// per-candidate path slices them), runs the engine, and assembles records.
-/// Records come back in input order; the per-record values are bit-identical
-/// to the scalar and packed kernels.
+/// extension tasks (strand-normalised views: the right extension from the
+/// seed end, the left one over reversed prefixes), runs the engine, and
+/// assembles records. Records come back in input order; the per-record
+/// values are bit-identical to the scalar reference.
 pub fn align_candidates_batched(
     reads: &ReadSet,
     tasks: &[Candidate],
@@ -1293,26 +1311,6 @@ pub fn align_candidates_batched_with(
         .into_iter()
         .map(|r| r.expect("every candidate scheduled exactly once"))
         .collect()
-}
-
-/// Batch driver used by [`crate::batch::align_batch`] for
-/// [`crate::KernelImpl::Batched`]: one engine, bucketed schedule, records
-/// in input order.
-pub(crate) fn align_batch_batched(
-    reads: &ReadSet,
-    tasks: &[Candidate],
-    params: &AlignParams,
-) -> BatchOutcome {
-    // gnb-lint: allow(wall-clock, reason = "measures real alignment wall time; deterministic outputs are the records, not the timing")
-    let start = std::time::Instant::now();
-    let (records, _) = align_candidates_batched(reads, tasks, params);
-    let elapsed = start.elapsed();
-    let total_cells = records.iter().map(|r| r.cells).sum();
-    BatchOutcome {
-        records,
-        total_cells,
-        elapsed,
-    }
 }
 
 #[cfg(test)]
@@ -1448,5 +1446,44 @@ mod tests {
             st.lane_fill() > 0.9,
             "identical pairs must fill lanes: {st:?}"
         );
+    }
+
+    #[test]
+    fn parked_continuations_stay_bounded_by_lanes_times_stages() {
+        // Near-identical 150-bp pairs extend to diagonal ~300, crossing the
+        // stage boundaries 64, 128 and 256: four stages. Seating the
+        // deepest full pool first keeps the parked set within
+        // lanes × stages whatever the bucket size; seating the shallowest
+        // first would park every stage-0 survivor of the bucket at once.
+        const STAGES: usize = 4;
+        let a: Vec<u8> = (0..150).map(|i| b"ACGT"[(i * 7 + i / 5 + 3) % 4]).collect();
+        let mut b = a.clone();
+        for i in (0..b.len()).step_by(23) {
+            b[i] = b"ACGT"[(b[i] as usize + 1) % 4];
+        }
+        let (pa, pb) = (PackedSeq::from_bytes(&a), PackedSeq::from_bytes(&b));
+        let pair = (
+            PackedView::full(pa.as_slice()),
+            PackedView::full(pb.as_slice()),
+        );
+        let want = xdrop_extend(&a, &b, &SC, 25);
+        let mut eng = BatchedXDropAligner::new();
+        let lanes = eng.path().lane_width();
+        let n = lanes * STAGES;
+        for count in [n, 4 * n] {
+            eng.reset_stats();
+            let got = eng.extend_batch(&vec![pair; count], &SC, 25);
+            assert!(got.iter().all(|e| *e == want));
+            let st = eng.stats();
+            assert!(
+                st.max_parked >= lanes as u64,
+                "every pair outlives stage 0: {st:?}"
+            );
+            assert!(
+                st.max_parked <= (2 * lanes * STAGES) as u64,
+                "{count} pairs parked {} continuations on {lanes} lanes",
+                st.max_parked
+            );
+        }
     }
 }

@@ -12,14 +12,17 @@
 //! * [`xdrop::xdrop_extend`] — banded antidiagonal X-drop extension, the
 //!   reference kernel: average-case O(n), terminates early on
 //!   false-positive seeds (the source of the paper's variable task costs);
-//! * [`packed::PackedXDropAligner`] — the production kernel: the same
-//!   algorithm over 2-bit packed sequences with 32-way base comparison and
-//!   a branch-reduced inner loop, bit-identical to the scalar kernel
-//!   (selected per batch via [`KernelImpl`]);
+//! * [`interseq::BatchedXDropAligner`] — the production kernel: many pairs
+//!   per SIMD register (one pair per `i16` lane) over length buckets with
+//!   staged lane refill, bit-identical to the scalar kernel;
+//! * [`packed::PackedXDropAligner`] — the same algorithm over 2-bit packed
+//!   sequences in exact `i32` arithmetic: the batched engine's fallback for
+//!   pairs that fail its `i16` exactness precheck;
 //! * [`seed_extend::align_candidate`] — the full candidate workflow: strand
 //!   normalisation, two-directional extension from the seed, overlap
 //!   classification (paper Fig. 2), acceptance criteria;
-//! * [`batch::align_batch`] — rayon-parallel batch driver;
+//! * [`batch::align_batch`] — the batch driver (batched engine, records in
+//!   input order); [`batch::align_batch_serial`] is its scalar reference;
 //! * [`calibrate::measure_cell_rate`] — measures host DP-cell throughput to
 //!   convert cell counts into simulated KNL-core seconds.
 //!
@@ -48,22 +51,3 @@ pub use packed::{PackedView, PackedXDropAligner};
 pub use scoring::ScoringScheme;
 pub use seed_extend::{align_candidate, AcceptCriteria, AlignmentRecord, Candidate, OverlapClass};
 pub use xdrop::{xdrop_extend, Extension, XDropAligner};
-
-/// Which X-drop kernel implementation a batch runs.
-///
-/// All variants return bit-identical [`Extension`]s on DNA-with-N inputs
-/// (the packed and batched kernels assert this contract via equivalence
-/// proptests); selection is therefore a pure performance choice. The scalar
-/// kernel is retained as the reference implementation and as the fallback
-/// for sequences that are not valid `{A,C,G,T,N}` DNA.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum KernelImpl {
-    /// Byte-at-a-time reference kernel ([`XDropAligner`]).
-    Scalar,
-    /// 2-bit packed, branch-reduced kernel ([`PackedXDropAligner`]).
-    #[default]
-    Packed,
-    /// Inter-sequence batched kernel ([`BatchedXDropAligner`]): many pairs
-    /// per SIMD register, scheduled over length buckets with lane refill.
-    Batched,
-}

@@ -1,5 +1,9 @@
 //! Packed antidiagonal X-drop kernel: 2-bit codes, 32-way base comparison.
 //!
+//! The batched engine ([`crate::interseq`]) runs this kernel, in exact
+//! `i32` arithmetic, for every pair that fails its `i16` exactness
+//! precheck.
+//!
 //! Same algorithm, band logic, tie-breaks, and termination conditions as
 //! [`crate::xdrop::XDropAligner`] — the scalar kernel remains the reference
 //! — but the inner loop is restructured for throughput:

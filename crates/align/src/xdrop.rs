@@ -36,7 +36,7 @@ pub struct Extension {
 /// Reusable scratch for X-drop extensions (three antidiagonal arrays).
 ///
 /// Reusing one aligner per worker thread keeps the hot loop allocation-free;
-/// [`crate::batch::align_batch`] does this via rayon's `map_init`.
+/// [`crate::batch::align_batch_serial`] reuses one across its batch.
 #[derive(Debug, Default)]
 pub struct XDropAligner {
     prev2: Vec<i32>,

@@ -5,9 +5,9 @@
 //! ISA path this host can run, including the `i16` → `i32` overflow-retry
 //! route for pairs that fail the exactness precheck.
 //!
-//! Together with `packed_equivalence.rs` these properties make
-//! `KernelImpl` a pure performance choice: batch records, simulator task
-//! costs, and TSVs are provably independent of which kernel ran.
+//! Together with `packed_equivalence.rs` (the fallback kernel) these
+//! properties make batch records, simulator task costs, and TSVs provably
+//! independent of which kernel ran.
 
 use gnb_align::interseq::{align_candidates_batched, eligible_i16};
 use gnb_align::seed_extend::{align_candidate_with, AcceptCriteria, Candidate, SeedExtendScratch};
@@ -189,7 +189,6 @@ proptest! {
             scoring: sc,
             x,
             criteria: AcceptCriteria::default(),
-            kernel: gnb_align::KernelImpl::Batched,
         };
         let mut scratch = SeedExtendScratch::new();
         let reference: Vec<_> = cands

@@ -13,10 +13,12 @@
 //!
 //! Three benchmark groups, two JSON reports at the repository root:
 //!
-//! * `BENCH_kernels.json` — X-drop DP-cell throughput (scalar reference vs
-//!   packed kernel) on the true-overlap calibration pair and on a
-//!   false-positive early-exit workload, plus end-to-end `align_batch`
-//!   throughput on a real pipeline candidate set.
+//! * `BENCH_kernels.json` — X-drop DP-cell throughput of the three kernels
+//!   (scalar reference, packed `i32` fallback, batched production engine)
+//!   on the true-overlap calibration pair and on a false-positive
+//!   early-exit workload, plus end-to-end batch throughput on a real
+//!   pipeline candidate set: `align_batch` against its scalar reference
+//!   `align_batch_serial`.
 //! * `BENCH_sim.json` — DES event-queue operation rates (arena queue vs an
 //!   in-bench replica of the pre-arena payload-carrying heap, and a
 //!   busy-rank deferral convoy through the per-rank deferral runs vs the
@@ -30,14 +32,12 @@
 //! fails on malformed output. `--quick` shrinks targets and rep counts for
 //! smoke use.
 
-use gnb_align::batch::{align_batch, AlignParams};
-use gnb_align::calibrate::measure_cell_rate_for;
+use gnb_align::batch::{align_batch, align_batch_serial, AlignParams, BatchOutcome};
+use gnb_align::calibrate::calibration_pair;
 use gnb_align::interseq::{align_candidates_batched_with, detected_features};
 use gnb_align::packed::simd_active;
 use gnb_align::seed_extend::AcceptCriteria;
-use gnb_align::{
-    BatchedXDropAligner, KernelImpl, PackedView, PackedXDropAligner, ScoringScheme, XDropAligner,
-};
+use gnb_align::{BatchedXDropAligner, PackedView, PackedXDropAligner, ScoringScheme, XDropAligner};
 use gnb_bench::CliArgs;
 use gnb_core::driver::{run_sim, Algorithm, RunConfig};
 use gnb_genome::{presets, PackedSeq, ReadSet};
@@ -62,7 +62,8 @@ struct Cfg {
     warmup: usize,
     /// Timed samples per benchmark (median reported).
     reps: usize,
-    /// DP-cell target per kernel sample on the true-overlap pair.
+    /// DP-cell target per kernel sample on the true-overlap calibration
+    /// pair.
     cells_true: u64,
     /// DP-cell target per sample on the false-positive workload.
     cells_fp: u64,
@@ -247,7 +248,12 @@ fn fp_pair() -> (Vec<u8>, Vec<u8>) {
     (a, b)
 }
 
-// The false-positive benchmarks take their workload and aligner scratch by
+/// X-drop threshold of the true-overlap series (the calibration's).
+const X_TRUE: i32 = 50;
+/// X-drop threshold of the false-positive series.
+const X_FP: i32 = 25;
+
+// The kernel benchmarks take their workload and aligner scratch by
 // reference: constructing them inside the sampled closure (as earlier
 // versions did) let the allocator hand each warmup/sample pass a different
 // placement for the hot arrays, which split the samples into two stable
@@ -255,50 +261,88 @@ fn fp_pair() -> (Vec<u8>, Vec<u8>) {
 // packed` series in the committed history). One construction shared by all
 // passes measures the kernel, not the allocator's mood.
 
-fn fp_rate_scalar(al: &mut XDropAligner, a: &[u8], b: &[u8], target: u64) -> f64 {
+fn rate_scalar(al: &mut XDropAligner, a: &[u8], b: &[u8], x: i32, target: u64) -> f64 {
     let sc = ScoringScheme::DEFAULT;
     let start = Instant::now();
     let mut cells = 0u64;
     while cells < target {
-        cells += al.extend(a, b, &sc, 25).cells;
+        cells += al.extend(a, b, &sc, x).cells;
     }
     cells as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }
 
-fn fp_rate_packed(
+fn rate_packed(
     al: &mut PackedXDropAligner,
     va: PackedView<'_>,
     vb: PackedView<'_>,
+    x: i32,
     target: u64,
 ) -> f64 {
     let sc = ScoringScheme::DEFAULT;
     let start = Instant::now();
     let mut cells = 0u64;
     while cells < target {
-        cells += al.extend(va, vb, &sc, 25).cells;
+        cells += al.extend(va, vb, &sc, x).cells;
     }
     cells as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }
 
-fn fp_rate_batched(
+/// The batched engine runs a full cohort per call (the pair replicated
+/// across every lane), the way batches actually run.
+fn rate_batched(
     eng: &mut BatchedXDropAligner,
     pairs: &[(PackedView<'_>, PackedView<'_>)],
+    x: i32,
     target: u64,
 ) -> f64 {
     let sc = ScoringScheme::DEFAULT;
     let start = Instant::now();
     let mut cells = 0u64;
     while cells < target {
-        for ext in eng.extend_batch(pairs, &sc, 25) {
+        for ext in eng.extend_batch(pairs, &sc, x) {
             cells += ext.cells;
         }
     }
     cells as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }
 
+/// One pair's three kernel series (`<group>/{scalar,packed,batched}`),
+/// each kernel's state constructed once and shared by every pass.
+fn bench_pair(cfg: &Cfg, group: &str, a: &[u8], b: &[u8], x: i32, target: u64) -> Vec<Row> {
+    let (pa, pb) = (PackedSeq::from_bytes(a), PackedSeq::from_bytes(b));
+    let (va, vb) = (
+        PackedView::full(pa.as_slice()),
+        PackedView::full(pb.as_slice()),
+    );
+    let mut scalar = XDropAligner::new();
+    let mut packed = PackedXDropAligner::new();
+    let mut batched = BatchedXDropAligner::new();
+    let cohort: Vec<_> = (0..batched.path().lane_width()).map(|_| (va, vb)).collect();
+    let mut rows = Vec::new();
+    rows.extend(sample_if(
+        cfg,
+        &format!("{group}/scalar"),
+        "cells/s",
+        || rate_scalar(&mut scalar, a, b, x, target),
+    ));
+    rows.extend(sample_if(
+        cfg,
+        &format!("{group}/packed"),
+        "cells/s",
+        || rate_packed(&mut packed, va, vb, x, target),
+    ));
+    rows.extend(sample_if(
+        cfg,
+        &format!("{group}/batched"),
+        "cells/s",
+        || rate_batched(&mut batched, &cohort, x, target),
+    ));
+    rows
+}
+
 /// Real candidate set for the batch benchmark: the pipeline's discovery
 /// stages (k-mer count → BELLA filter → seed index → candidates) run once,
-/// then both kernels align the identical task list.
+/// then both batch drivers align the identical task list.
 fn batch_workload(scale: usize) -> (ReadSet, Vec<gnb_align::Candidate>, AlignParams) {
     let preset = presets::ecoli_30x().scaled(scale);
     let reads = preset.generate(31);
@@ -321,54 +365,28 @@ fn batch_workload(scale: usize) -> (ReadSet, Vec<gnb_align::Candidate>, AlignPar
 fn bench_kernels(cfg: &Cfg) -> (Vec<Row>, Vec<(String, f64)>) {
     println!("== kernels ==");
     let mut rows = Vec::new();
-    for (name, kernel) in [
-        ("xdrop_true_overlap/scalar", KernelImpl::Scalar),
-        ("xdrop_true_overlap/packed", KernelImpl::Packed),
-        ("xdrop_true_overlap/batched", KernelImpl::Batched),
-    ] {
-        rows.extend(sample_if(cfg, name, "cells/s", || {
-            measure_cell_rate_for(kernel, cfg.cells_true).host_cells_per_sec
-        }));
-    }
-
-    // False-positive workload state, constructed once and shared by every
-    // warmup/sample pass (see the fp_rate_* comment).
+    let (ta, tb) = calibration_pair();
+    rows.extend(bench_pair(
+        cfg,
+        "xdrop_true_overlap",
+        &ta,
+        &tb,
+        X_TRUE,
+        cfg.cells_true,
+    ));
     let (fa, fb) = fp_pair();
-    let (fpa, fpb) = (PackedSeq::from_bytes(&fa), PackedSeq::from_bytes(&fb));
-    let (fva, fvb) = (
-        PackedView::full(fpa.as_slice()),
-        PackedView::full(fpb.as_slice()),
-    );
-    let mut fp_scalar = XDropAligner::new();
-    let mut fp_packed = PackedXDropAligner::new();
-    let mut fp_batched = BatchedXDropAligner::new();
-    let fp_batch: Vec<_> = (0..fp_batched.path().lane_width())
-        .map(|_| (fva, fvb))
-        .collect();
-    rows.extend(sample_if(
+    rows.extend(bench_pair(
         cfg,
-        "xdrop_false_positive/scalar",
-        "cells/s",
-        || fp_rate_scalar(&mut fp_scalar, &fa, &fb, cfg.cells_fp),
-    ));
-    rows.extend(sample_if(
-        cfg,
-        "xdrop_false_positive/packed",
-        "cells/s",
-        || fp_rate_packed(&mut fp_packed, fva, fvb, cfg.cells_fp),
-    ));
-    rows.extend(sample_if(
-        cfg,
-        "xdrop_false_positive/batched",
-        "cells/s",
-        || fp_rate_batched(&mut fp_batched, &fp_batch, cfg.cells_fp),
+        "xdrop_false_positive",
+        &fa,
+        &fb,
+        X_FP,
+        cfg.cells_fp,
     ));
 
     let batch_names = [
         "align_batch/scalar",
-        "align_batch/packed",
         "align_batch/batched",
-        "align_batch/packed_pairs",
         "interseq_bucket_fill",
     ];
     if batch_names.iter().any(|n| cfg.wants(n)) {
@@ -378,30 +396,13 @@ fn bench_kernels(cfg: &Cfg) -> (Vec<Row>, Vec<(String, f64)>) {
             reads.len(),
             tasks.len()
         );
-        for (name, kernel) in [
-            ("align_batch/scalar", KernelImpl::Scalar),
-            ("align_batch/packed", KernelImpl::Packed),
-            ("align_batch/batched", KernelImpl::Batched),
-        ] {
-            let p = AlignParams { kernel, ..params };
-            rows.extend(sample_if(cfg, name, "cells/s", || {
-                let out = align_batch(&reads, &tasks, &p);
-                out.total_cells as f64 / out.elapsed.as_secs_f64().max(1e-9)
-            }));
-        }
-        let pairs_params = AlignParams {
-            kernel: KernelImpl::Packed,
-            ..params
-        };
-        rows.extend(sample_if(
-            cfg,
-            "align_batch/packed_pairs",
-            "pairs/s",
-            || {
-                let out = align_batch(&reads, &tasks, &pairs_params);
-                tasks.len() as f64 / out.elapsed.as_secs_f64().max(1e-9)
-            },
-        ));
+        let rate = |out: BatchOutcome| out.total_cells as f64 / out.elapsed.as_secs_f64().max(1e-9);
+        rows.extend(sample_if(cfg, "align_batch/scalar", "cells/s", || {
+            rate(align_batch_serial(&reads, &tasks, &params))
+        }));
+        rows.extend(sample_if(cfg, "align_batch/batched", "cells/s", || {
+            rate(align_batch(&reads, &tasks, &params))
+        }));
         // Lane occupancy of the batched engine on the real candidate mix —
         // the fraction of SIMD lane-steps carrying live work, which is what
         // the length buckets + staged refill exist to keep high.
@@ -431,10 +432,6 @@ fn bench_kernels(cfg: &Cfg) -> (Vec<Row>, Vec<(String, f64)>) {
             ratio("xdrop_false_positive/packed", "xdrop_false_positive/scalar"),
         ),
         (
-            "packed_vs_scalar_batch".to_string(),
-            ratio("align_batch/packed", "align_batch/scalar"),
-        ),
-        (
             "batched_vs_packed_true_overlap".to_string(),
             ratio("xdrop_true_overlap/batched", "xdrop_true_overlap/packed"),
         ),
@@ -444,10 +441,6 @@ fn bench_kernels(cfg: &Cfg) -> (Vec<Row>, Vec<(String, f64)>) {
                 "xdrop_false_positive/batched",
                 "xdrop_false_positive/packed",
             ),
-        ),
-        (
-            "batched_vs_packed_batch".to_string(),
-            ratio("align_batch/batched", "align_batch/packed"),
         ),
         (
             "batched_vs_scalar_batch".to_string(),

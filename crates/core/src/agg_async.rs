@@ -164,24 +164,11 @@ impl AggAsyncStrategy {
         }
     }
 
-    /// Creates the full runtime-hosted rank program.
-    pub fn program(
-        plan: Arc<AsyncPlan>,
-        rank: usize,
-        machine: &MachineConfig,
-        cfg: &RunConfig,
-    ) -> RankRuntime<AggAsyncStrategy> {
-        RankRuntime::new(
-            AggAsyncStrategy::new(plan, rank, cfg),
-            rank,
-            RuntimeConfig::from_run(machine, cfg),
-        )
-    }
-
     /// Creates the full runtime-hosted rank program with the recovery
     /// stack: a fault plan carrying the crash schedule and the shared
     /// checkpoint store. The driver uses this for every run; with no
-    /// crashes scheduled it behaves exactly like [`Self::program`].
+    /// crashes scheduled (`FaultPlan::default()`, no store) it hosts the
+    /// strategy with an inactive fault plan.
     pub fn program_with_recovery(
         plan: Arc<AsyncPlan>,
         rank: usize,
@@ -561,7 +548,16 @@ mod tests {
         let m = machine(nranks);
         let plan = Arc::new(plan_async(&w, &m, cfg));
         let mut progs: Vec<RankRuntime<AggAsyncStrategy>> = (0..nranks)
-            .map(|r| AggAsyncStrategy::program(Arc::clone(&plan), r, &m, cfg))
+            .map(|r| {
+                AggAsyncStrategy::program_with_recovery(
+                    Arc::clone(&plan),
+                    r,
+                    &m,
+                    cfg,
+                    Arc::new(FaultPlan::default()),
+                    None,
+                )
+            })
             .collect();
         let report = Engine::new(nranks, m.net).run(&mut progs);
         (progs, report)

@@ -218,24 +218,11 @@ impl AsyncStrategy {
         }
     }
 
-    /// Creates the full runtime-hosted rank program.
-    pub fn program(
-        plan: Arc<AsyncPlan>,
-        rank: usize,
-        machine: &MachineConfig,
-        cfg: &RunConfig,
-    ) -> RankRuntime<AsyncStrategy> {
-        RankRuntime::new(
-            AsyncStrategy::new(plan, rank, cfg),
-            rank,
-            RuntimeConfig::from_run(machine, cfg),
-        )
-    }
-
     /// Creates the full runtime-hosted rank program with the recovery
     /// stack: a fault plan carrying the crash schedule and the shared
     /// checkpoint store. The driver uses this for every run; with no
-    /// crashes scheduled it behaves exactly like [`Self::program`].
+    /// crashes scheduled (`FaultPlan::default()`, no store) it hosts the
+    /// strategy with an inactive fault plan.
     pub fn program_with_recovery(
         plan: Arc<AsyncPlan>,
         rank: usize,
@@ -568,7 +555,16 @@ mod tests {
         let m = machine(nranks);
         let plan = Arc::new(plan_async(&w, &m, cfg));
         let mut progs: Vec<RankRuntime<AsyncStrategy>> = (0..nranks)
-            .map(|r| AsyncStrategy::program(Arc::clone(&plan), r, &m, cfg))
+            .map(|r| {
+                AsyncStrategy::program_with_recovery(
+                    Arc::clone(&plan),
+                    r,
+                    &m,
+                    cfg,
+                    Arc::new(FaultPlan::default()),
+                    None,
+                )
+            })
             .collect();
         let report = Engine::new(nranks, m.net).run(&mut progs);
         (progs, report)

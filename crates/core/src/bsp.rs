@@ -227,23 +227,10 @@ impl BspStrategy {
         }
     }
 
-    /// Creates the full runtime-hosted rank program. The fault plan feeds
-    /// the collective detect-and-reissue loop (an inactive plan never
-    /// fires).
-    pub fn program(
-        plan: Arc<BspPlan>,
-        rank: usize,
-        machine: &MachineConfig,
-        cfg: &RunConfig,
-        fault: Arc<FaultPlan>,
-    ) -> RankRuntime<BspStrategy> {
-        BspStrategy::program_with_recovery(plan, rank, machine, cfg, fault, None)
-    }
-
     /// Creates the full runtime-hosted rank program with the recovery
     /// stack: the fault plan (crash schedule included) and the shared
-    /// checkpoint store. With no crashes scheduled it behaves exactly
-    /// like [`Self::program`].
+    /// checkpoint store. The fault plan also feeds the collective
+    /// detect-and-reissue loop; an inactive plan never fires.
     pub fn program_with_recovery(
         plan: Arc<BspPlan>,
         rank: usize,

@@ -1,11 +1,13 @@
 //! The real end-to-end pipeline on strings (shared-memory backend).
 //!
 //! This is what a downstream user runs: reads in, accepted overlap
-//! alignments out, with rayon parallelism. It is also the ground truth the
-//! simulator's synthetic path is calibrated against, and the source of the
-//! *fixed* task graph for small-scale simulation experiments: DiBELLA's
-//! stages (k-mer histogram → BELLA filter → seed index → candidates) run
-//! for real, then the alignments are computed with the real X-drop kernel.
+//! alignments out, with rayon-parallel k-mer counting and candidate
+//! discovery and the batched SIMD X-drop engine. It is also the ground
+//! truth the simulator's synthetic path is calibrated against, and the
+//! source of the *fixed* task graph for small-scale simulation
+//! experiments: DiBELLA's stages (k-mer histogram → BELLA filter → seed
+//! index → candidates) run for real, then the alignments are computed
+//! with the real X-drop engine.
 
 use gnb_align::batch::{align_batch, AlignParams, BatchOutcome};
 use gnb_align::Candidate;

@@ -1,6 +1,6 @@
 //! Quickstart: generate a small long-read dataset, find candidate overlap
 //! pairs through filtered k-mer matching, and compute the alignments with
-//! the rayon-parallel X-drop pipeline.
+//! the batched SIMD X-drop engine.
 //!
 //! Run with: `cargo run --release --example quickstart`
 

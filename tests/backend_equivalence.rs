@@ -3,11 +3,10 @@
 //! every machine shape, memory budget, and mode — timing may differ,
 //! results may not. This is the paper's implicit correctness contract ("the
 //! alignment tasks ... are treated as fixed inputs"), and it extends to the
-//! shared rayon backend: the parallel and serial alignment paths must emit
-//! identical accepted-alignment sets.
+//! shared-memory alignment backend: the batched production path and the
+//! scalar serial reference must emit identical accepted-alignment sets.
 
-use gnb::align::batch::{align_batch_serial, AlignParams};
-use gnb::align::KernelImpl;
+use gnb::align::batch::align_batch_serial;
 use gnb::core::driver::{run_sim, Algorithm, RunConfig};
 use gnb::core::pipeline::{run_pipeline, PipelineParams};
 use gnb::core::workload::SimWorkload;
@@ -81,7 +80,7 @@ fn comm_only_mode_completes_everything() {
     }
 }
 
-/// The full equivalence chain: the shared rayon backend's parallel and
+/// The full equivalence chain: the shared-memory backend's batched and
 /// serial paths emit identical accepted-alignment sets for a real pipeline
 /// task set, and all three simulated coordination codes complete exactly
 /// that task set with identical checksums. One fixed input, four
@@ -94,7 +93,7 @@ fn three_strategies_and_rayon_backend_agree() {
     let res = run_pipeline(&reads, &params);
     assert!(res.tasks.len() > 100, "tasks: {}", res.tasks.len());
 
-    // Rayon vs serial: record-for-record identical, hence identical
+    // Batched vs serial: record-for-record identical, hence identical
     // accepted sets (scheduling must not leak into alignment results).
     let serial = align_batch_serial(&reads, &res.tasks, &params.align);
     assert_eq!(res.outcome.records, serial.records);
@@ -119,82 +118,50 @@ fn three_strategies_and_rayon_backend_agree() {
     assert!(checksums.windows(2).all(|p| p[0] == p[1]), "{checksums:x?}");
 }
 
-/// The packed production kernel slots into the same chain: both kernels
-/// produce record-identical batch outcomes (same tasks, same cells, same
-/// accepted set), and the workload derived from the packed-kernel run
-/// drives all three coordination strategies to one checksum. Kernel
-/// selection is a pure performance choice — nothing downstream can tell
-/// which one ran.
-#[test]
-fn packed_kernel_drives_identical_simulations() {
+/// The production alignment path slots into the simulation chain: the
+/// `run_pipeline` outcome (batched engine, bucketed lane-refill schedule)
+/// equals the scalar serial reference on the same tasks — records, cells,
+/// accepted set — and the workload derived from it drives all three
+/// coordination strategies to one checksum. Nothing downstream can tell
+/// which kernel ran.
+fn pipeline_matches_serial_reference(seed: u64) {
     let preset = presets::ecoli_30x().scaled(1024);
-    let reads = preset.generate(77);
-    let base = PipelineParams::new(preset.coverage, preset.errors.total_rate());
-    let with_kernel = |kernel| PipelineParams {
-        align: AlignParams {
-            kernel,
-            ..base.align
-        },
-        ..base
-    };
-    let scalar = run_pipeline(&reads, &with_kernel(KernelImpl::Scalar));
-    let packed = run_pipeline(&reads, &with_kernel(KernelImpl::Packed));
-    assert!(!packed.tasks.is_empty());
-    assert_eq!(scalar.tasks, packed.tasks);
-    assert_eq!(scalar.outcome.records, packed.outcome.records);
-    assert_eq!(scalar.outcome.total_cells, packed.outcome.total_cells);
+    let reads = preset.generate(seed);
+    let params = PipelineParams::new(preset.coverage, preset.errors.total_rate());
+    let res = run_pipeline(&reads, &params);
+    assert!(!res.tasks.is_empty());
+    let serial = align_batch_serial(&reads, &res.tasks, &params.align);
+    assert_eq!(res.outcome.records, serial.records);
+    assert_eq!(res.outcome.total_cells, serial.total_cells);
+    let accepted: Vec<(u32, u32)> = res.outcome.accepted().map(|r| (r.a, r.b)).collect();
+    let accepted_serial: Vec<(u32, u32)> = serial.accepted().map(|r| (r.a, r.b)).collect();
+    assert_eq!(accepted, accepted_serial);
 
     let m = machine(2, 4);
     let lengths = reads.lengths();
-    let w = SimWorkload::prepare(&lengths, &packed.tasks, &packed.overlaps, m.nranks());
+    let w = SimWorkload::prepare(&lengths, &res.tasks, &res.overlaps, m.nranks());
     w.validate();
     let cfg = RunConfig::default();
     let mut checksums = Vec::new();
     for algo in Algorithm::ALL {
         let r = run_sim(&w, &m, algo, &cfg);
-        assert_eq!(r.tasks_done as usize, packed.tasks.len(), "{algo}");
+        assert_eq!(r.tasks_done as usize, res.tasks.len(), "{algo}");
         checksums.push(r.task_checksum);
     }
     assert!(checksums.windows(2).all(|p| p[0] == p[1]), "{checksums:x?}");
 }
 
-/// The inter-sequence batched kernel slots into the same chain: its bucketed
-/// lane-refill schedule produces record-identical batch outcomes to the
-/// scalar reference (same tasks, same cells, same accepted set), and the
-/// workload derived from the batched-kernel run drives all three
-/// coordination strategies to one checksum. Like `Packed`, `Batched` is a
-/// pure performance choice — nothing downstream can tell which one ran.
+/// The packed kernel runs inside the batched engine as its exact `i32`
+/// fallback; its kernel-level parity is pinned in `packed_equivalence.rs`.
+/// This seed pins the production path end to end on a second read set.
+#[test]
+fn packed_kernel_drives_identical_simulations() {
+    pipeline_matches_serial_reference(77);
+}
+
 #[test]
 fn batched_kernel_drives_identical_simulations() {
-    let preset = presets::ecoli_30x().scaled(1024);
-    let reads = preset.generate(91);
-    let base = PipelineParams::new(preset.coverage, preset.errors.total_rate());
-    let with_kernel = |kernel| PipelineParams {
-        align: AlignParams {
-            kernel,
-            ..base.align
-        },
-        ..base
-    };
-    let scalar = run_pipeline(&reads, &with_kernel(KernelImpl::Scalar));
-    let batched = run_pipeline(&reads, &with_kernel(KernelImpl::Batched));
-    assert!(!batched.tasks.is_empty());
-    assert_eq!(scalar.tasks, batched.tasks);
-    assert_eq!(scalar.outcome.records, batched.outcome.records);
-    assert_eq!(scalar.outcome.total_cells, batched.outcome.total_cells);
-
-    let m = machine(2, 4);
-    let lengths = reads.lengths();
-    let w = SimWorkload::prepare(&lengths, &batched.tasks, &batched.overlaps, m.nranks());
-    w.validate();
-    let cfg = RunConfig::default();
-    let mut checksums = Vec::new();
-    for algo in Algorithm::ALL {
-        let r = run_sim(&w, &m, algo, &cfg);
-        assert_eq!(r.tasks_done as usize, batched.tasks.len(), "{algo}");
-        checksums.push(r.task_checksum);
-    }
-    assert!(checksums.windows(2).all(|p| p[0] == p[1]), "{checksums:x?}");
+    pipeline_matches_serial_reference(91);
 }
 
 #[test]
