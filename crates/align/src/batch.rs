@@ -67,8 +67,9 @@ impl Default for AlignParams {
 /// Internally tasks run **longest-first**, cut into length buckets with
 /// lane refill (see [`crate::interseq`]): a task's true cost is unknowable
 /// before it runs (§4.2 of the paper), so `len(a) + len(b)` is the cheap
-/// upper-bound proxy that keeps co-resident lanes finishing together.
-/// Records are bit-identical to [`align_batch_serial`].
+/// upper-bound proxy that keeps co-resident lanes finishing together. One
+/// engine per core shares each bucket's refill pools. Records are
+/// bit-identical to [`align_batch_serial`] whatever the core count.
 pub fn align_batch(reads: &ReadSet, tasks: &[Candidate], params: &AlignParams) -> BatchOutcome {
     // gnb-lint: allow(wall-clock, reason = "measures real alignment wall time; deterministic outputs are the records, not the timing")
     let start = std::time::Instant::now();

@@ -21,6 +21,12 @@
 //!   the final flush of each pool. The deepest full pool is seated first,
 //!   so parked continuations stay bounded by lanes × stages rather than by
 //!   bucket size ([`BatchStats::max_parked`]).
+//! * **Shared pools across cores**: the engines of one batch (one per core
+//!   in [`align_candidates_batched`]) share its stage pools behind one
+//!   lock. Each picks its next cohort by the same rule under the lock and
+//!   runs it outside, so every core works on the one bucket that holds
+//!   nearly all the candidates; a bucket that fits one cohort spawns no
+//!   thread.
 //! * **Band-relative addressing**: each lane stores its rows at
 //!   `row - offset`, the offset fixed per stage at the lane's current band
 //!   floor. Lanes whose absolute bands drift apart (different length
@@ -54,6 +60,8 @@ use crate::scoring::ScoringScheme;
 use crate::seed_extend::{assemble_record, packed_candidate_geometry, AlignmentRecord, Candidate};
 use crate::xdrop::Extension;
 use gnb_genome::ReadSet;
+use std::collections::VecDeque;
+use std::sync::Mutex;
 
 /// "Minus infinity" of the `i16` lane arithmetic (`i16::MIN / 4`): low
 /// enough that adding any admitted substitution or gap value cannot wrap,
@@ -257,6 +265,10 @@ impl BatchPlan {
 // ---------------------------------------------------------------------------
 
 /// Occupancy and routing counters accumulated by a [`BatchedXDropAligner`].
+///
+/// When several engines share one batch, `tasks` and the fallback counts
+/// are exact, but how cohorts are cut — `cohorts`, `diagonals`, the lane
+/// steps and `max_parked` — depends on how the threads interleaved.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BatchStats {
     /// Extension tasks processed (two per candidate).
@@ -273,12 +285,25 @@ pub struct BatchStats {
     /// Lane-steps that advanced a live pair (the rest were idle lanes).
     pub active_lane_steps: u64,
     /// Peak number of parked continuations (paused past stage 0, waiting
-    /// for a seat) in any one [`BatchedXDropAligner::extend_batch`] call —
-    /// the engine's DP-row memory beyond its striped scratch.
+    /// for a seat) this engine saw in the refill pools of any one batch —
+    /// the DP-row memory beyond the engines' striped scratch.
     pub max_parked: u64,
 }
 
 impl BatchStats {
+    /// Folds another engine's counters into these: every count adds up,
+    /// and `max_parked` keeps the larger peak (the engines of one batch
+    /// share its pools, so each saw the same parked set).
+    pub fn merge(&mut self, other: &BatchStats) {
+        self.tasks += other.tasks;
+        self.fallback_tasks += other.fallback_tasks;
+        self.cohorts += other.cohorts;
+        self.diagonals += other.diagonals;
+        self.lane_steps += other.lane_steps;
+        self.active_lane_steps += other.active_lane_steps;
+        self.max_parked = self.max_parked.max(other.max_parked);
+    }
+
     /// Fraction of lane-steps that carried live work — the occupancy the
     /// staged-refill scheduler exists to keep high.
     pub fn lane_fill(&self) -> f64 {
@@ -357,6 +382,87 @@ enum LaneOutcome {
     Retry(u32),
 }
 
+/// The refill pools of one batch, shared by every engine working it behind
+/// one lock: one FIFO pool of continuations per stage of the grid, and the
+/// results finished so far.
+struct RefillPools {
+    /// Stage boundaries (diagonals): doubling, then `STAGE_CAP` apart.
+    grid: Vec<u32>,
+    pools: Vec<VecDeque<Cont>>,
+    /// Continuations parked past stage 0 and not yet re-seated.
+    parked: u64,
+    out: Vec<Extension>,
+}
+
+/// A cohort's outcomes not yet filed into the pools, with its stage.
+type Pending = Option<(usize, Vec<LaneOutcome>)>;
+
+impl RefillPools {
+    /// Seeds stage 0 with every pair that passes the `i16` precheck;
+    /// `lead` extends the others on its exact `i32` fallback at once.
+    fn seed(
+        lead: &mut BatchedXDropAligner,
+        pairs: &[(PackedView<'_>, PackedView<'_>)],
+        sc: &ScoringScheme,
+        x: i32,
+    ) -> RefillPools {
+        assert!(x >= 0, "X-drop threshold must be non-negative");
+        assert!(
+            x <= MAX_X,
+            "X-drop threshold too large for the batched kernel"
+        );
+        let mut out = vec![Extension::default(); pairs.len()];
+        lead.stats.tasks += pairs.len() as u64;
+
+        // Doubling stage grid; d never exceeds n + m ≤ 32 000 for eligible
+        // pairs, so the top boundary is unreachable.
+        let mut grid: Vec<u32> = vec![0, STAGE0];
+        while *grid.last().expect("non-empty") < 65_536 {
+            let last = *grid.last().expect("non-empty");
+            grid.push(last + last.min(STAGE_CAP));
+        }
+        let mut pools: Vec<VecDeque<Cont>> = grid.iter().map(|_| VecDeque::new()).collect();
+
+        for (i, (a, b)) in pairs.iter().enumerate() {
+            if eligible_i16(a.len(), b.len(), sc, x) {
+                pools[0].push_back(Cont::fresh(i as u32));
+            } else {
+                // Widen-to-i32 retry path: exactness can't be guaranteed in
+                // i16, so the pair runs on the packed i32 kernel instead.
+                out[i] = lead.fallback.extend(*a, *b, sc, x);
+                lead.stats.fallback_tasks += 1;
+            }
+        }
+        RefillPools {
+            grid,
+            pools,
+            parked: 0,
+            out,
+        }
+    }
+
+    /// The scheduling rule: seat the deepest pool that fills a cohort of
+    /// `lanes` (highest occupancy; a cohort then carries its survivors on
+    /// through the later stages before the next fresh cohort starts, so
+    /// parked continuations — two DP rows each — stay bounded by lanes ×
+    /// stages instead of growing with the bucket), else flush the
+    /// shallowest non-empty pool. `None` once every pool is empty.
+    fn pick(&mut self, lanes: usize) -> Option<(usize, Vec<Cont>)> {
+        let g = match (0..self.pools.len())
+            .rev()
+            .find(|&g| self.pools[g].len() >= lanes)
+        {
+            Some(g) => g,
+            None => (0..self.pools.len()).find(|&g| !self.pools[g].is_empty())?,
+        };
+        let seat_n = self.pools[g].len().min(lanes);
+        if g > 0 {
+            self.parked -= seat_n as u64;
+        }
+        Some((g, self.pools[g].drain(..seat_n).collect()))
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The engine
 // ---------------------------------------------------------------------------
@@ -427,83 +533,76 @@ impl BatchedXDropAligner {
     /// Extends every pair from `(0, 0)` under X-drop threshold `x`,
     /// returning per-pair [`Extension`]s bit-identical to the scalar kernel
     /// in input order. The caller provides one length bucket per call (the
-    /// whole slice is scheduled as a single refill pool).
+    /// whole slice is scheduled as a single refill pool). This is the
+    /// one-engine case of the shared-pool scheduler: no thread is spawned
+    /// and the cohort schedule is deterministic.
     pub fn extend_batch(
         &mut self,
         pairs: &[(PackedView<'_>, PackedView<'_>)],
         sc: &ScoringScheme,
         x: i32,
     ) -> Vec<Extension> {
-        assert!(x >= 0, "X-drop threshold must be non-negative");
-        assert!(
-            x <= MAX_X,
-            "X-drop threshold too large for the batched kernel"
-        );
-        let mut out = vec![Extension::default(); pairs.len()];
-        self.stats.tasks += pairs.len() as u64;
+        extend_shared(std::slice::from_mut(self), pairs, sc, x)
+    }
 
-        // Doubling stage grid; d never exceeds n + m ≤ 32 000 for eligible
-        // pairs, so the top boundary is unreachable.
-        let mut grid: Vec<u32> = vec![0, STAGE0];
-        while *grid.last().expect("non-empty") < 65_536 {
-            let last = *grid.last().expect("non-empty");
-            grid.push(last + last.min(STAGE_CAP));
-        }
-        let mut pools: Vec<Vec<Cont>> = grid.iter().map(|_| Vec::new()).collect();
+    /// One engine's share of an [`extend_shared`] call: refill steps until
+    /// every pool is empty. It never waits for cohorts other engines still
+    /// have in flight; their survivors are theirs to carry on.
+    fn refill_worker(
+        &mut self,
+        shared: &Mutex<RefillPools>,
+        pairs: &[(PackedView<'_>, PackedView<'_>)],
+        sc: &ScoringScheme,
+        x: i32,
+    ) {
+        let mut pending = None;
+        while self.refill_step(shared, pairs, sc, x, &mut pending) {}
+    }
 
-        for (i, (a, b)) in pairs.iter().enumerate() {
-            if eligible_i16(a.len(), b.len(), sc, x) {
-                pools[0].push(Cont::fresh(i as u32));
-            } else {
-                // Widen-to-i32 retry path: exactness can't be guaranteed in
-                // i16, so the pair runs on the packed i32 kernel instead.
-                out[i] = self.fallback.extend(*a, *b, sc, x);
-                self.stats.fallback_tasks += 1;
-            }
-        }
-
-        let lanes = self.path.lane_width();
-        let mut parked = 0u64;
-        loop {
-            // Prefer a fully seatable pool (highest occupancy), the deepest
-            // one first: a cohort then carries its survivors on through the
-            // later stages before the next fresh cohort starts, so parked
-            // continuations (each holding two DP rows) stay bounded by
-            // lanes × stages instead of growing with the bucket. Flush a
-            // partial pool only when no pool can fill a cohort. Both
-            // choices and the FIFO seat order are deterministic, and
-            // results are keyed by task id, so scheduling is unobservable.
-            let g = match (0..pools.len()).rev().find(|&g| pools[g].len() >= lanes) {
-                Some(g) => g,
-                None => match (0..pools.len()).find(|&g| !pools[g].is_empty()) {
-                    Some(g) => g,
-                    None => break,
-                },
-            };
-            let seat_n = pools[g].len().min(lanes);
-            let seats: Vec<Cont> = pools[g].drain(..seat_n).collect();
-            if g > 0 {
-                parked -= seat_n as u64;
-            }
-            debug_assert!(g + 1 < grid.len(), "eligible pair outlived the stage grid");
-            let (d0, d1) = (grid[g], grid[g + 1]);
-            for outcome in self.run_cohort(seats, pairs, sc, x, d0, d1) {
-                match outcome {
-                    LaneOutcome::Done(task, ext) => out[task as usize] = ext,
-                    LaneOutcome::Live(cont) => {
-                        pools[g + 1].push(cont);
-                        parked += 1;
-                        self.stats.max_parked = self.stats.max_parked.max(parked);
-                    }
-                    LaneOutcome::Retry(task) => {
-                        let (a, b) = &pairs[task as usize];
-                        out[task as usize] = self.fallback.extend(*a, *b, sc, x);
-                        self.stats.fallback_tasks += 1;
+    /// One turn of a refill worker: under the lock, file the `pending`
+    /// outcomes and pick the next cohort; run it outside the lock into
+    /// `pending`. Returns `false`, with nothing pending, once every pool
+    /// was empty.
+    fn refill_step(
+        &mut self,
+        shared: &Mutex<RefillPools>,
+        pairs: &[(PackedView<'_>, PackedView<'_>)],
+        sc: &ScoringScheme,
+        x: i32,
+        pending: &mut Pending,
+    ) -> bool {
+        let (seats, g, d0, d1) = {
+            let mut st = shared
+                .lock()
+                .expect("a refill worker panicked while holding the pools");
+            if let Some((g, outcomes)) = pending.take() {
+                for outcome in outcomes {
+                    match outcome {
+                        LaneOutcome::Done(task, ext) => st.out[task as usize] = ext,
+                        LaneOutcome::Live(cont) => {
+                            st.pools[g + 1].push_back(cont);
+                            st.parked += 1;
+                            self.stats.max_parked = self.stats.max_parked.max(st.parked);
+                        }
+                        LaneOutcome::Retry(task) => {
+                            let (a, b) = &pairs[task as usize];
+                            st.out[task as usize] = self.fallback.extend(*a, *b, sc, x);
+                            self.stats.fallback_tasks += 1;
+                        }
                     }
                 }
             }
-        }
-        out
+            let Some((g, seats)) = st.pick(self.path.lane_width()) else {
+                return false;
+            };
+            debug_assert!(
+                g + 1 < st.grid.len(),
+                "eligible pair outlived the stage grid"
+            );
+            (seats, g, st.grid[g], st.grid[g + 1])
+        };
+        *pending = Some((g, self.run_cohort(seats, pairs, sc, x, d0, d1)));
+        true
     }
 
     /// Runs one cohort from diagonal `d0` (exclusive) to `d1` (inclusive).
@@ -904,6 +1003,41 @@ impl BatchedXDropAligner {
     }
 }
 
+/// Extends `pairs` with every engine in `engines` sharing one set of refill
+/// pools (see [`RefillPools::pick`]). The first engine runs on the calling
+/// thread and routes ineligible pairs to its `i32` fallback; each other
+/// engine gets a scoped thread, but only as many engines run as there are
+/// full cohorts of eligible pairs, so a batch that fits one cohort spawns
+/// nothing. A pair's [`Extension`] does not depend on which cohort it rides
+/// in, and results are keyed by task id, so the output is the same for
+/// any engine count; only the engines' cohort, lane-fill and `max_parked`
+/// counters depend on the schedule.
+fn extend_shared(
+    engines: &mut [BatchedXDropAligner],
+    pairs: &[(PackedView<'_>, PackedView<'_>)],
+    sc: &ScoringScheme,
+    x: i32,
+) -> Vec<Extension> {
+    let (lead, rest) = engines
+        .split_first_mut()
+        .expect("extend_shared needs at least one engine");
+    let pools = RefillPools::seed(lead, pairs, sc, x);
+    let cohorts = pools.pools[0].len().div_ceil(lead.path.lane_width());
+    let helpers = rest.len().min(cohorts.saturating_sub(1));
+    let shared = Mutex::new(pools);
+    std::thread::scope(|s| {
+        for eng in &mut rest[..helpers] {
+            let shared = &shared;
+            s.spawn(move || eng.refill_worker(shared, pairs, sc, x));
+        }
+        lead.refill_worker(&shared, pairs, sc, x);
+    });
+    shared
+        .into_inner()
+        .expect("a refill worker panicked while holding the pools")
+        .out
+}
+
 /// Builds the final [`Extension`] from a lane's i16 state.
 fn lane_extension(best: i16, aext: i16, bext: i16, cells: u64) -> Extension {
     debug_assert!(best >= 0 && aext >= 0 && bext >= 0);
@@ -1244,28 +1378,44 @@ mod simd {
 /// Aligns a candidate batch with the batched engine: builds the
 /// [`BatchPlan`], then per bucket expands each candidate into its two
 /// extension tasks (strand-normalised views: the right extension from the
-/// seed end, the left one over reversed prefixes), runs the engine, and
+/// seed end, the left one over reversed prefixes), runs the engines, and
 /// assembles records. Records come back in input order; the per-record
 /// values are bit-identical to the scalar reference.
+///
+/// Runs one engine per core ([`std::thread::available_parallelism`]); the
+/// engines of a bucket share its refill pools, so every core works on the
+/// bucket that holds nearly all the candidates. The returned stats are the
+/// engines' merged counters.
 pub fn align_candidates_batched(
     reads: &ReadSet,
     tasks: &[Candidate],
     params: &AlignParams,
 ) -> (Vec<AlignmentRecord>, BatchStats) {
-    let mut engine = BatchedXDropAligner::new();
-    let records = align_candidates_batched_with(&mut engine, reads, tasks, params);
-    (records, engine.stats())
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut engines: Vec<BatchedXDropAligner> =
+        (0..cores).map(|_| BatchedXDropAligner::new()).collect();
+    let records = align_candidates_batched_with(&mut engines, reads, tasks, params);
+    let mut stats = BatchStats::default();
+    for engine in &engines {
+        stats.merge(&engine.stats());
+    }
+    (records, stats)
 }
 
-/// [`align_candidates_batched`] with a caller-owned engine (reused scratch,
-/// explicit ISA path, accumulated stats).
+/// [`align_candidates_batched`] with caller-owned engines (reused scratch,
+/// explicit ISA paths and engine count, accumulated stats). The plan's
+/// cohort width is the first engine's lane width.
+///
+/// # Panics
+/// Panics if `engines` is empty.
 pub fn align_candidates_batched_with(
-    engine: &mut BatchedXDropAligner,
+    engines: &mut [BatchedXDropAligner],
     reads: &ReadSet,
     tasks: &[Candidate],
     params: &AlignParams,
 ) -> Vec<AlignmentRecord> {
-    let plan = BatchPlan::build(reads, tasks, engine.path().lane_width());
+    assert!(!engines.is_empty(), "at least one engine is needed");
+    let plan = BatchPlan::build(reads, tasks, engines[0].path().lane_width());
     let mut slots: Vec<Option<AlignmentRecord>> = vec![None; tasks.len()];
     for bucket in &plan.buckets {
         let ids = &plan.order[bucket.first as usize..(bucket.first + bucket.count) as usize];
@@ -1290,7 +1440,7 @@ pub fn align_candidates_batched_with(
             ));
             pairs.push((g.a.rev_prefix(g.a_pos), g.b_norm.rev_prefix(g.b_pos)));
         }
-        let exts = engine.extend_batch(&pairs, &params.scoring, params.x);
+        let exts = extend_shared(engines, &pairs, &params.scoring, params.x);
         for (i, (&t, g)) in ids.iter().zip(&geoms).enumerate() {
             let (right, left) = (&exts[2 * i], &exts[2 * i + 1]);
             slots[t as usize] = Some(assemble_record(
@@ -1467,23 +1617,51 @@ mod tests {
             PackedView::full(pb.as_slice()),
         );
         let want = xdrop_extend(&a, &b, &SC, 25);
-        let mut eng = BatchedXDropAligner::new();
-        let lanes = eng.path().lane_width();
+        let lanes = BatchedXDropAligner::new().path().lane_width();
         let n = lanes * STAGES;
         for count in [n, 4 * n] {
-            eng.reset_stats();
-            let got = eng.extend_batch(&vec![pair; count], &SC, 25);
+            let pairs = vec![pair; count];
+            // One engine, through the public entry point.
+            let mut eng = BatchedXDropAligner::new();
+            let got = eng.extend_batch(&pairs, &SC, 25);
             assert!(got.iter().all(|e| *e == want));
-            let st = eng.stats();
-            assert!(
-                st.max_parked >= lanes as u64,
-                "every pair outlives stage 0: {st:?}"
-            );
-            assert!(
-                st.max_parked <= (2 * lanes * STAGES) as u64,
-                "{count} pairs parked {} continuations on {lanes} lanes",
-                st.max_parked
-            );
+            let one = eng.stats();
+
+            // Two engines sharing the pools, stepped in lockstep on this
+            // thread: each files its last cohort and takes the next while
+            // the other still holds one — the interleaving of two threads
+            // that always have a cohort in flight, forced deterministically.
+            let mut engines = [BatchedXDropAligner::new(), BatchedXDropAligner::new()];
+            let shared = Mutex::new(RefillPools::seed(&mut engines[0], &pairs, &SC, 25));
+            let mut pending: [Pending; 2] = [None, None];
+            let mut running = [true, true];
+            while running.contains(&true) {
+                for (w, eng) in engines.iter_mut().enumerate() {
+                    if running[w] {
+                        running[w] = eng.refill_step(&shared, &pairs, &SC, 25, &mut pending[w]);
+                    }
+                }
+            }
+            let got = shared.into_inner().expect("no worker panicked").out;
+            assert!(got.iter().all(|e| *e == want));
+            assert!(engines.iter().all(|e| e.stats().cohorts > 0));
+            let mut two = BatchStats::default();
+            for eng in &engines {
+                two.merge(&eng.stats());
+            }
+
+            for (workers, st) in [(1, one), (2, two)] {
+                assert_eq!(st.tasks, count as u64);
+                assert!(
+                    st.max_parked >= lanes as u64,
+                    "every pair outlives stage 0: {st:?}"
+                );
+                assert!(
+                    st.max_parked <= (2 * lanes * STAGES) as u64,
+                    "{count} pairs on {workers} engines parked {} continuations on {lanes} lanes",
+                    st.max_parked
+                );
+            }
         }
     }
 }

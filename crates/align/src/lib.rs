@@ -21,8 +21,9 @@
 //! * [`seed_extend::align_candidate`] — the full candidate workflow: strand
 //!   normalisation, two-directional extension from the seed, overlap
 //!   classification (paper Fig. 2), acceptance criteria;
-//! * [`batch::align_batch`] — the batch driver (batched engine, records in
-//!   input order); [`batch::align_batch_serial`] is its scalar reference;
+//! * [`batch::align_batch`] — the batch driver (batched engines on every
+//!   core, records in input order); [`batch::align_batch_serial`] is its
+//!   scalar reference;
 //! * [`calibrate::measure_cell_rate`] — measures host DP-cell throughput to
 //!   convert cell counts into simulated KNL-core seconds.
 //!

@@ -9,7 +9,7 @@
 //! properties make batch records, simulator task costs, and TSVs provably
 //! independent of which kernel ran.
 
-use gnb_align::interseq::{align_candidates_batched, eligible_i16};
+use gnb_align::interseq::{align_candidates_batched, align_candidates_batched_with, eligible_i16};
 use gnb_align::seed_extend::{align_candidate_with, AcceptCriteria, Candidate, SeedExtendScratch};
 use gnb_align::xdrop::xdrop_extend;
 use gnb_align::{batch::AlignParams, BatchedXDropAligner, IsaPath, PackedView, ScoringScheme};
@@ -209,6 +209,68 @@ proptest! {
         let (records, stats) = align_candidates_batched(&reads, &cands, &params);
         prop_assert_eq!(&records, &reference);
         prop_assert_eq!(stats.tasks, 2 * cands.len() as u64);
+    }
+
+    /// Records do not depend on how many engines share the refill pools.
+    /// The engines are passed explicitly, so the multi-engine path runs on
+    /// any host, a one-core one included. Batches run from empty through
+    /// smaller than one cohort to several ragged cohorts (the portable
+    /// path's 8 lanes give the most cohorts per batch), on both strands,
+    /// and a hot scheme fails the `i16` precheck so every pair takes the
+    /// `i32` fallback.
+    #[test]
+    fn records_do_not_depend_on_engine_count(
+        seqs in proptest::collection::vec(
+            (dna_with_n(K, 160), dna_with_n(K, 160)), 0..30),
+        apos_raw in 0usize..1000,
+        bpos_raw in 0usize..1000,
+        same_strand in any::<bool>(),
+        x in 0..60i32,
+        sc in prop_oneof![4 => scheme(), 1 => Just(ScoringScheme::new(2000, -2000, -2000))],
+    ) {
+        let o = ReadOrigin { start: 0, ref_len: 0, strand: Strand::Forward };
+        let mut reads = ReadSet::new();
+        let mut cands = Vec::new();
+        for (i, (a, b)) in seqs.iter().enumerate() {
+            reads.push(a, o);
+            reads.push(b, o);
+            cands.push(Candidate {
+                a: 2 * i as u32,
+                b: 2 * i as u32 + 1,
+                a_pos: (apos_raw % (a.len() - K + 1)) as u32,
+                b_pos: (bpos_raw % (b.len() - K + 1)) as u32,
+                same_strand: same_strand || i % 3 == 0,
+            });
+        }
+        let params = AlignParams {
+            k: K,
+            scoring: sc,
+            x,
+            criteria: AcceptCriteria::default(),
+        };
+        let mut scratch = SeedExtendScratch::new();
+        let reference: Vec<_> = cands
+            .iter()
+            .map(|c| {
+                align_candidate_with(
+                    &mut scratch,
+                    reads.read(c.a as usize),
+                    reads.read(c.b as usize),
+                    c,
+                    K,
+                    &sc,
+                    x,
+                    &params.criteria,
+                )
+            })
+            .collect();
+        for path in available_paths() {
+            let mut engines: Vec<_> = (0..3).map(|_| BatchedXDropAligner::with_path(path)).collect();
+            for w in 1..=3 {
+                let records = align_candidates_batched_with(&mut engines[..w], &reads, &cands, &params);
+                prop_assert_eq!(&records, &reference, "path {:?}, {} engines", path, w);
+            }
+        }
     }
 }
 

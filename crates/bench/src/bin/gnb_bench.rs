@@ -17,8 +17,9 @@
 //!   (scalar reference, packed `i32` fallback, batched production engine)
 //!   on the true-overlap calibration pair and on a false-positive
 //!   early-exit workload, plus end-to-end batch throughput on a real
-//!   pipeline candidate set: `align_batch` against its scalar reference
-//!   `align_batch_serial`.
+//!   pipeline candidate set: `align_batch` (one engine per core) against
+//!   its scalar reference `align_batch_serial` and against the same driver
+//!   on a single engine.
 //! * `BENCH_sim.json` — DES event-queue operation rates (arena queue vs an
 //!   in-bench replica of the pre-arena payload-carrying heap, and a
 //!   busy-rank deferral convoy through the per-rank deferral runs vs the
@@ -387,6 +388,7 @@ fn bench_kernels(cfg: &Cfg) -> (Vec<Row>, Vec<(String, f64)>) {
     let batch_names = [
         "align_batch/scalar",
         "align_batch/batched",
+        "align_batch/one_engine",
         "interseq_bucket_fill",
     ];
     if batch_names.iter().any(|n| cfg.wants(n)) {
@@ -403,13 +405,24 @@ fn bench_kernels(cfg: &Cfg) -> (Vec<Row>, Vec<(String, f64)>) {
         rows.extend(sample_if(cfg, "align_batch/batched", "cells/s", || {
             rate(align_batch(&reads, &tasks, &params))
         }));
+        // The same driver on a single engine: `align_batch` runs one engine
+        // per core, so `batched_vs_one_engine` is its multi-core gain at the
+        // header's `nproc`.
+        rows.extend(sample_if(cfg, "align_batch/one_engine", "cells/s", || {
+            let mut eng = [BatchedXDropAligner::new()];
+            let start = Instant::now();
+            let records = align_candidates_batched_with(&mut eng, &reads, &tasks, &params);
+            let elapsed = start.elapsed().as_secs_f64().max(1e-9);
+            records.iter().map(|r| r.cells).sum::<u64>() as f64 / elapsed
+        }));
         // Lane occupancy of the batched engine on the real candidate mix —
         // the fraction of SIMD lane-steps carrying live work, which is what
-        // the length buckets + staged refill exist to keep high.
+        // the length buckets + staged refill exist to keep high. One engine,
+        // so the cohort schedule (and this series) is deterministic.
         rows.extend(sample_if(cfg, "interseq_bucket_fill", "ratio", || {
-            let mut eng = BatchedXDropAligner::new();
+            let mut eng = [BatchedXDropAligner::new()];
             let _ = align_candidates_batched_with(&mut eng, &reads, &tasks, &params);
-            eng.stats().lane_fill()
+            eng[0].stats().lane_fill()
         }));
     }
 
@@ -445,6 +458,10 @@ fn bench_kernels(cfg: &Cfg) -> (Vec<Row>, Vec<(String, f64)>) {
         (
             "batched_vs_scalar_batch".to_string(),
             ratio("align_batch/batched", "align_batch/scalar"),
+        ),
+        (
+            "batched_vs_one_engine".to_string(),
+            ratio("align_batch/batched", "align_batch/one_engine"),
         ),
     ];
     (rows, ratios)

@@ -1,8 +1,9 @@
 //! The real end-to-end pipeline on strings (shared-memory backend).
 //!
 //! This is what a downstream user runs: reads in, accepted overlap
-//! alignments out, with rayon-parallel k-mer counting and candidate
-//! discovery and the batched SIMD X-drop engine. It is also the ground
+//! alignments out. K-mer counting and candidate discovery run on one
+//! thread (the vendored `rayon` shim is sequential); alignment runs the
+//! batched SIMD X-drop engine on every core. It is also the ground
 //! truth the simulator's synthetic path is calibrated against, and the
 //! source of the *fixed* task graph for small-scale simulation
 //! experiments: DiBELLA's stages (k-mer histogram → BELLA filter → seed

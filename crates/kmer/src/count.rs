@@ -1,9 +1,10 @@
-//! Parallel k-mer counting over a read set.
+//! K-mer counting over a read set.
 //!
 //! The counter shards the k-mer space by [`Kmer::hash64`] into `S` lock-
-//! protected hash maps. Reads are processed in rayon-parallel chunks; each
-//! worker accumulates a small local buffer per shard and flushes it in bulk,
-//! so lock hold times stay short and contention low. This mirrors the
+//! protected hash maps. Reads are processed in rayon-style chunks; each
+//! chunk accumulates a small local buffer per shard and flushes it in bulk.
+//! The vendored `rayon` shim runs the chunks sequentially, so counting runs
+//! on one thread (the locks are uncontended). The sharding mirrors the
 //! owner-computes k-mer distribution DiBELLA performs across ranks, shrunk
 //! to a single address space.
 
@@ -66,10 +67,10 @@ impl KmerCounts {
     }
 }
 
-/// Counts canonical k-mers of all reads in parallel.
+/// Counts canonical k-mers of all reads (on one thread; see module docs).
 ///
-/// Deterministic: the resulting multiset of counts is independent of thread
-/// interleaving (addition is commutative and shards are exact partitions).
+/// Deterministic: the resulting multiset of counts is independent of chunk
+/// order (addition is commutative and shards are exact partitions).
 pub fn count_kmers(reads: &ReadSet, k: usize) -> KmerCounts {
     let shard_bits = 6u32; // 64 shards: plenty for tens of threads
     let nshards = 1usize << shard_bits;

@@ -3,8 +3,9 @@
 //! After the BELLA filter, every retained k-mer's occurrence list is the
 //! witness set for candidate overlaps: any two reads on the same posting
 //! list are a candidate pair, with the k-mer's positions in each read as
-//! the alignment seed (paper Fig. 1). Lists are built in parallel with the
-//! same sharding scheme as counting.
+//! the alignment seed (paper Fig. 1). Lists are built with the same
+//! sharding scheme as counting, and like counting on one thread (the
+//! vendored `rayon` shim is sequential).
 
 use crate::count::KmerCounts;
 use crate::kmer::{kmers_oriented, Kmer};

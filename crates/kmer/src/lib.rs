@@ -9,7 +9,8 @@
 //!   canonical form;
 //! * [`kmers_of`] / [`KmerIter`] — sliding-window extraction that resets on
 //!   `N` (ambiguous base calls never produce k-mers);
-//! * [`count::count_kmers`] — sharded, rayon-parallel counting;
+//! * [`count::count_kmers`] — sharded counting (one thread: the vendored
+//!   `rayon` shim is sequential);
 //! * [`bella::BellaModel`] — the coverage/error-rate-driven reliable
 //!   frequency interval `[lo, hi]`;
 //! * [`index::SeedIndex`] — posting lists (read, position) for retained

@@ -1,5 +1,6 @@
 //! `gnb-overlap-cli` — end-to-end many-to-many long-read overlap detection
-//! on real FASTA input, using the shared-memory (rayon) backend.
+//! on real FASTA input, using the shared-memory backend: k-mer stages on
+//! one thread, alignment on every core.
 //!
 //! ```text
 //! USAGE:
@@ -8,6 +9,9 @@
 //!   gnb-overlap-cli --demo          # run on a generated demo dataset
 //! ```
 //!
+//! `--help` lists the accepted range of each option; a value that does not
+//! parse or is out of range exits with status 2.
+//!
 //! Output is PAF-like TSV: qname qlen qstart qend strand tname tlen tstart
 //! tend score class.
 
@@ -15,6 +19,7 @@ use gnb::core::pipeline::{run_pipeline, PipelineParams};
 use gnb::genome::fasta::read_fasta_file;
 use gnb::genome::presets;
 use gnb::genome::ReadSet;
+use gnb::kmer::kmer::MAX_K;
 use std::io::Write;
 
 struct Opts {
@@ -26,6 +31,40 @@ struct Opts {
     min_score: i32,
     min_overlap: usize,
     out: Option<String>,
+}
+
+/// Usage text, including the accepted range of every numeric option.
+const USAGE: &str = "\
+gnb-overlap-cli <reads.fasta> [--coverage X] [--error-rate E] [--k K]
+                [--min-score S] [--min-overlap L] [--out file]
+gnb-overlap-cli --demo
+
+  --coverage X     sequencing depth, finite and > 0 (default 30)
+  --error-rate E   per-base error rate, finite and in [0, 1) (default 0.15)
+  --k K            k-mer length, 1..=32 (default 17)
+  --min-score S    smallest accepted alignment score, an integer (default 200)
+  --min-overlap L  shortest accepted overlap in bases, >= 0 (default 500)";
+
+/// Prints `msg` and exits with status 2 (a usage error).
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg} (see --help)");
+    std::process::exit(2);
+}
+
+/// Parses the value of `flag`, exiting with a usage error when it does not
+/// parse or fails `ok`; `range` says what `ok` accepts.
+fn parse_value<T: std::str::FromStr>(
+    flag: &str,
+    raw: &str,
+    range: &str,
+    ok: impl Fn(&T) -> bool,
+) -> T {
+    match raw.parse::<T>() {
+        Ok(v) if ok(&v) => v,
+        _ => usage_error(&format!(
+            "invalid value {raw:?} for {flag}: expected {range}"
+        )),
+    }
 }
 
 fn parse_opts() -> Opts {
@@ -43,60 +82,54 @@ fn parse_opts() -> Opts {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
-        let take = |j: usize| -> String {
-            args.get(j + 1)
-                .unwrap_or_else(|| {
-                    eprintln!("missing value for {}", args[j]);
-                    std::process::exit(2);
-                })
-                .clone()
+        let flag = args[i].as_str();
+        let value = || -> &str {
+            args.get(i + 1)
+                .unwrap_or_else(|| usage_error(&format!("missing value for {flag}")))
         };
-        match args[i].as_str() {
+        match flag {
             "--demo" => {
                 o.demo = true;
                 i += 1;
+                continue;
             }
             "--coverage" => {
-                o.coverage = take(i).parse().expect("coverage");
-                i += 2;
+                o.coverage = parse_value(flag, value(), "a finite number > 0", |c: &f64| {
+                    c.is_finite() && *c > 0.0
+                });
             }
             "--error-rate" => {
-                o.error_rate = take(i).parse().expect("error-rate");
-                i += 2;
+                o.error_rate =
+                    parse_value(flag, value(), "a finite number in [0, 1)", |e: &f64| {
+                        (0.0..1.0).contains(e)
+                    });
             }
             "--k" => {
-                o.k = take(i).parse().expect("k");
-                i += 2;
+                o.k = parse_value(flag, value(), &format!("an integer in 1..={MAX_K}"), |k| {
+                    (1..=MAX_K).contains(k)
+                });
             }
             "--min-score" => {
-                o.min_score = take(i).parse().expect("min-score");
-                i += 2;
+                o.min_score = parse_value(flag, value(), "an integer", |_| true);
             }
             "--min-overlap" => {
-                o.min_overlap = take(i).parse().expect("min-overlap");
-                i += 2;
+                o.min_overlap = parse_value(flag, value(), "an integer >= 0", |_| true);
             }
             "--out" => {
-                o.out = Some(take(i));
-                i += 2;
+                o.out = Some(value().to_string());
             }
             "--help" | "-h" => {
-                println!(
-                    "gnb-overlap-cli <reads.fasta> [--coverage X] [--error-rate E] [--k K]\n\
-                     \x20                [--min-score S] [--min-overlap L] [--out file]\n\
-                     gnb-overlap-cli --demo"
-                );
+                println!("{USAGE}");
                 std::process::exit(0);
             }
             other if !other.starts_with('-') => {
                 o.input = Some(other.to_string());
                 i += 1;
+                continue;
             }
-            other => {
-                eprintln!("unknown option {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown option {other}")),
         }
+        i += 2;
     }
     o
 }

@@ -5,8 +5,8 @@
 //! long-read alignment coordinated two ways — bulk-synchronous with
 //! aggregated irregular all-to-alls, and asynchronous with one RPC per
 //! remote read hidden under compute — studied on a simulated Cray-class
-//! machine, plus a real rayon-parallel pipeline for actually aligning
-//! reads on a multicore host.
+//! machine, plus a real pipeline for actually aligning reads on a multicore
+//! host (k-mer stages on one thread, alignment on every core).
 //!
 //! This crate is a facade: it re-exports the workspace crates.
 //!
